@@ -101,8 +101,8 @@ ArmOut run_arm(const workloads::ExperimentConfig& cfg) {
     out.burn_per_mille = out.r.slo_burn_per_mille;
     out.windows = out.r.slo_windows;
   } else {
-    // Same window semantics as the controller's online monitor, computed
-    // batch over the sink-arrival log.
+    // The controller's SLO monitor, fed after the run from the
+    // sink-arrival log.
     obs::SloMonitor slo(obs::SloConfig{kTargetP99Us, 10});
     for (const metrics::LatencySeries::Sample& s :
          out.r.collector.latency().samples()) {

@@ -2,7 +2,7 @@
 //
 // The AutoscaleController closes the loop the paper leaves open: it
 // subscribes to the live sink-arrival stream (through a tee on the
-// platform's EventListener), folds it into an OnlineSloMonitor, samples
+// platform's EventListener), folds it into an obs::SloMonitor, samples
 // queue depths and source backlogs, and once per decision period decides
 // whether to move the worker pool between three VM tiers —
 //
@@ -43,7 +43,7 @@
 #include <string_view>
 #include <vector>
 
-#include "common/island.hpp"
+#include "common/lifetime.hpp"
 #include "common/time.hpp"
 #include "core/controller.hpp"
 #include "core/strategy.hpp"
@@ -146,7 +146,7 @@ struct AutoscaleStats {
 /// The closed-loop controller.  Sits between the platform and the real
 /// listener (tee): call attach() AFTER the runner installs its collector,
 /// then start() after Platform::start().
-class RILL_ISLAND(ctrl) RILL_PINNED AutoscaleController final
+class RILL_PINNED AutoscaleController final
     : public dsps::EventListener {
  public:
   AutoscaleController(dsps::Platform& platform,
@@ -166,7 +166,7 @@ class RILL_ISLAND(ctrl) RILL_PINNED AutoscaleController final
 
   [[nodiscard]] const AutoscaleStats& stats() const noexcept { return stats_; }
   [[nodiscard]] PoolTier tier() const noexcept { return tier_; }
-  [[nodiscard]] obs::OnlineSloMonitor& slo() noexcept { return slo_; }
+  [[nodiscard]] obs::SloMonitor& slo() noexcept { return slo_; }
 
   /// Export autoscale.* counters into the registry (post-run).
   void export_to(obs::MetricsRegistry& reg) const;
@@ -186,7 +186,7 @@ class RILL_ISLAND(ctrl) RILL_PINNED AutoscaleController final
   core::MigrationController& migrations_;
   workloads::VmPlan plan_;
   AutoscaleConfig config_;
-  obs::OnlineSloMonitor slo_;
+  obs::SloMonitor slo_;
   dsps::EventListener* downstream_{nullptr};
   dsps::RoundRobinScheduler scheduler_;  ///< outlives every enacted plan
   sim::PeriodicTimer timer_;

@@ -70,9 +70,14 @@ class LatencySeries {
   [[nodiscard]] std::optional<double> median_ms(SimTime from, SimTime to) const;
 
   /// Arbitrary percentile (0 < q < 1) of samples arriving in [from, to]
-  /// (closed: an arrival exactly on the window-end boundary counts),
-  /// nearest-rank method.  p95/p99 tails make DSM's replay-induced latency
-  /// spread visible where the median hides it.
+  /// (closed: an arrival exactly on the window-end boundary counts): the
+  /// (⌊q·n⌋+1)-th smallest of the n samples, clamped to the largest — so
+  /// p50 of 1..100 is 51.  That is one rank above nearest-rank
+  /// (obs::nearest_rank, ⌈q·n⌉) whenever q·n is an integer.  The rule stays
+  /// separate on purpose: every report's latency_p* fields come from here,
+  /// and switching to obs::nearest_rank would rewrite the report bytes the
+  /// determinism manifests pin.  p95/p99 tails make DSM's replay-induced
+  /// latency spread visible where the median hides it.
   [[nodiscard]] std::optional<double> percentile_ms(double q, SimTime from,
                                                     SimTime to) const;
 

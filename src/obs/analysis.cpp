@@ -326,6 +326,22 @@ std::vector<std::size_t> slowest_tuples(const Analysis& a, std::size_t k) {
   return idx;
 }
 
+SloMonitor slo_of(const Analysis& a, SloConfig config) {
+  std::vector<const TupleView*> order;
+  order.reserve(a.tuples.size());
+  for (const TupleView& t : a.tuples) order.push_back(&t);
+  std::stable_sort(order.begin(), order.end(),
+                   [](const TupleView* l, const TupleView* r) {
+                     if (l->done() != r->done()) return l->done() < r->done();
+                     if (l->born != r->born) return l->born < r->born;
+                     return l->root < r->root;
+                   });
+  SloMonitor slo(config);
+  for (const TupleView* t : order) slo.record(t->done(), t->latency_us);
+  slo.finalize();
+  return slo;
+}
+
 std::vector<const HopView*> hops_of(const Analysis& a, std::uint64_t root) {
   std::vector<const HopView*> out;
   for (const HopView& h : a.hops) {

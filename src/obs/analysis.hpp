@@ -14,7 +14,8 @@
 //
 // check() asserts the attribution invariants CI relies on: per-cause
 // components sum to each tuple's end-to-end latency within tolerance, and
-// in the migration window the slow tail is dominated by Pause.
+// in the migration window the slow tail is dominated by Pause.  slo_of()
+// runs the windowed SLO monitor over the sampled tuples.
 #pragma once
 
 #include <cstdint>
@@ -24,6 +25,7 @@
 
 #include "common/time.hpp"
 #include "obs/attribution.hpp"
+#include "obs/slo.hpp"
 
 namespace rill::obs::analysis {
 
@@ -112,6 +114,12 @@ struct Analysis {
 /// Hops of one tuple (matched by root, in trace order).
 [[nodiscard]] std::vector<const HopView*> hops_of(const Analysis& a,
                                                   std::uint64_t root);
+
+/// Finalized SLO series over the sampled tuples, one arrival per tuple at
+/// its completion (done()) with its end-to-end latency.  The tuples are
+/// stable-sorted by done() (ties: born, then root) before feeding: the
+/// monitor takes arrivals in order, and a trace file is outside input.
+[[nodiscard]] SloMonitor slo_of(const Analysis& a, SloConfig config);
 
 struct CheckResult {
   bool ok{true};

@@ -22,7 +22,6 @@
 #include <optional>
 #include <string>
 
-#include "common/island.hpp"
 
 namespace rill::obs {
 
@@ -91,7 +90,7 @@ class Histogram {
 
 /// Named instrument store.  std::map keeps instrument addresses stable
 /// across inserts, so `counter("x")` may be cached for the whole run.
-class RILL_SHARED MetricsRegistry {
+class MetricsRegistry {
  public:
   [[nodiscard]] Counter* counter(const std::string& name) {
     return &counters_[name];

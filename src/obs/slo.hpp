@@ -5,13 +5,10 @@
 // exceeds the target, merges consecutive violated windows into violation
 // runs, and reports an integer burn rate (violated windows per mille).
 //
-// Empty windows *between* the first and last arrival are counted as
-// violated when a target is set: a migration that silences the sinks for
-// 30 s is an SLO breach even though no sample exceeded the target.
-//
-// This is the exact signal the ROADMAP item-2 autoscale controller will
-// subscribe to; until then it is exported into --task-metrics JSON
-// (slo.* instruments) and reused offline by rill_trace.
+// One monitor serves every consumer: the autoscale controller's live
+// signal (fed as the run goes), the slo.* instruments in --task-metrics
+// JSON, rill_trace's SLO report and bench_autoscale's static arms (fed
+// after the run, then finalized).
 #pragma once
 
 #include <cstdint>
@@ -46,69 +43,32 @@ struct SloViolation {
   std::uint64_t end_sec{0};
 };
 
-class OnlineSloMonitor;
+/// Nearest-rank percentile: the ⌈q·n⌉-th smallest of `sorted` (clamped to
+/// [1, n]); 0 for an empty input.  `sorted` must be ascending.
+[[nodiscard]] std::uint64_t nearest_rank(const std::vector<std::uint64_t>& sorted,
+                                         double q);
 
+/// The monitor only ever evaluates *closed* windows:
+///
+///  * a window closes when sim time passes its end (advance_to, or an
+///    arrival past it);
+///  * the current, not-yet-elapsed window is never counted — violated or
+///    otherwise — because its emptiness (or a low sample count) proves
+///    nothing yet;
+///  * leading empty windows (before the first sample ever) do not exist:
+///    the series starts at the first arrival's window;
+///  * empty closed windows after traffic has started count as violated
+///    when a target is set: a migration that silences the sinks for 30 s
+///    is an SLO breach even though no sample exceeded the target;
+///  * finalize() ends the run: the open window counts if it holds samples,
+///    and trailing empty windows are trimmed (the silence past the last
+///    arrival is the shutdown, not a breach).
+///
+/// Samples must arrive in non-decreasing arrival order (the sink feed is
+/// causal; offline feeds sort first, see analysis::slo_of).
 class SloMonitor {
  public:
   explicit SloMonitor(SloConfig config);
-
-  /// Feed one sink arrival.  Arrivals may come in any order.
-  void record(SimTime arrival, std::uint64_t latency_us);
-
-  /// Build the window series + violation runs.  Call once after feeding.
-  void finalize();
-
-  [[nodiscard]] const SloConfig& config() const noexcept { return config_; }
-  [[nodiscard]] const std::vector<SloWindow>& windows() const noexcept {
-    return windows_;
-  }
-  [[nodiscard]] const std::vector<SloViolation>& violations() const noexcept {
-    return violations_;
-  }
-  [[nodiscard]] std::uint64_t violated_windows() const noexcept;
-  /// violated windows / total windows, per mille (integer; R3-clean).
-  [[nodiscard]] std::uint64_t burn_per_mille() const noexcept;
-
-  /// Export slo.* instruments (counters + per-window percentile
-  /// histograms) into the registry.
-  void export_to(MetricsRegistry& reg) const;
-
- private:
-  struct RawSample {
-    SimTime arrival{0};
-    std::uint64_t latency_us{0};
-  };
-
-  SloConfig config_;
-  std::vector<RawSample> samples_;
-  std::vector<SloWindow> windows_;
-  std::vector<SloViolation> violations_;
-  bool finalized_{false};
-};
-
-/// Incremental variant of SloMonitor for online (mid-run) querying — the
-/// autoscale controller's live signal.
-///
-/// The batch monitor's empty-window rule misfires when applied to a run
-/// that is still in progress: the window containing "now" has not elapsed
-/// yet, so its emptiness (or a low sample count) proves nothing.  This
-/// monitor therefore only ever evaluates *closed* windows:
-///
-///  * a window closes when sim time passes its end (advance_to);
-///  * the current, not-yet-elapsed window is never counted — violated or
-///    otherwise;
-///  * leading empty windows (before the first sample ever) are skipped
-///    entirely, exactly as the batch monitor starts at the first arrival;
-///  * empty closed windows after traffic has started count as violated
-///    while the run is live (sink silence IS a breach online);
-///  * finalize() trims trailing empty windows so the finished series
-///    matches SloMonitor::finalize() over the same samples byte for byte.
-///
-/// Samples must arrive in non-decreasing arrival order (the sink feed is
-/// causal); a sample implicitly closes every window it has passed.
-class OnlineSloMonitor {
- public:
-  explicit OnlineSloMonitor(SloConfig config);
 
   /// Feed one sink arrival.  Arrivals must be non-decreasing.
   void record(SimTime arrival, std::uint64_t latency_us);
@@ -116,32 +76,42 @@ class OnlineSloMonitor {
   /// Close every window whose end lies at or before `now`.
   void advance_to(SimTime now);
 
-  /// Trim trailing empty closed windows (run over; the silence past the
-  /// last arrival is the shutdown, not a breach).  Call once at run end.
+  /// Build the finished series (see the class comment).  A later record()
+  /// or advance_to() resumes the live series; finalize() again to rebuild.
   void finalize();
 
   [[nodiscard]] const SloConfig& config() const noexcept { return config_; }
-  /// Closed windows so far, oldest first.
+  /// Closed windows so far, oldest first — the finished series once
+  /// finalized.
   [[nodiscard]] const std::vector<SloWindow>& windows() const noexcept {
-    return windows_;
+    return finalized_ ? finished_ : closed_;
   }
+  /// Maximal runs of consecutive violated windows().
+  [[nodiscard]] std::vector<SloViolation> violations() const;
   [[nodiscard]] std::uint64_t violated_windows() const noexcept;
-  /// violated / closed windows, per mille (integer; R3-clean).
+  /// violated windows / windows, per mille (integer; R3-clean).
   [[nodiscard]] std::uint64_t burn_per_mille() const noexcept;
-  /// Consecutive violated windows at the tail of the closed series.
+  /// Consecutive violated windows at the tail of windows().
   [[nodiscard]] int violated_streak() const noexcept;
-  /// Consecutive non-violated windows at the tail of the closed series.
+  /// Consecutive non-violated windows at the tail of windows().
   [[nodiscard]] int ok_streak() const noexcept;
 
+  /// Export slo.* instruments (counters + per-window percentile
+  /// histograms) into the registry.
+  void export_to(MetricsRegistry& reg) const;
+
  private:
+  /// Summarize the open window (sorts current_ in place).
+  [[nodiscard]] SloWindow open_window();
   void close_window();
 
   SloConfig config_;
-  std::vector<SloWindow> windows_;       ///< closed windows
-  std::vector<std::uint64_t> current_;   ///< latencies in the open window
-  std::uint64_t open_start_us_{0};       ///< open window start, µs
-  bool seen_sample_{false};  ///< a sample has ever arrived (leading-empty rule)
-  bool opened_{false};       ///< open_start_us_ is anchored
+  std::vector<SloWindow> closed_;       ///< closed windows, live series
+  std::vector<SloWindow> finished_;     ///< finalize()'s series
+  std::vector<std::uint64_t> current_;  ///< latencies in the open window
+  std::uint64_t open_start_us_{0};      ///< open window start, µs
+  bool opened_{false};     ///< open_start_us_ is anchored (a sample arrived)
+  bool finalized_{false};  ///< windows() is finished_
 };
 
 }  // namespace rill::obs

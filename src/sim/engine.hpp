@@ -12,7 +12,6 @@
 #include <queue>
 #include <vector>
 
-#include "common/island.hpp"
 #include "common/time.hpp"
 
 namespace rill::sim {
@@ -24,7 +23,7 @@ struct TimerId {
 };
 
 /// The simulation clock and event loop.
-class RILL_SHARED Engine {
+class Engine {
  public:
   using Callback = std::function<void()>;
 

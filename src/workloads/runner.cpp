@@ -179,8 +179,8 @@ ExperimentResult run_experiment(const ExperimentConfig& config) {
   result.request_queue = controller.queue_stats();
 
   if (config.autoscale.enabled) {
-    // Close out the online SLO series so its burn rate matches what the
-    // batch monitor would compute over the same arrivals.
+    // Close out the live SLO series: the same finished series an offline
+    // feed of the same arrivals would give.
     autoscaler.slo().advance_to(static_cast<SimTime>(config.run_duration));
     autoscaler.slo().finalize();
     result.autoscale = autoscaler.stats();

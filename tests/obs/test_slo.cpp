@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <vector>
 
 #include "metrics/series.hpp"
 #include "obs/names.hpp"
@@ -139,14 +140,69 @@ TEST(SloMonitor, ExportToWritesSloInstruments) {
   EXPECT_EQ(p99.max(), 100u);
 }
 
-// ---- OnlineSloMonitor: the incremental, window-closing variant ----
+TEST(SloMonitor, FinalizedSeriesIsTheSameWithOrWithoutAdvance) {
+  // Arrivals spread over [12, 87] s with an interior gap at [40,60).  The
+  // offline callers finalize straight after feeding; the autoscaler first
+  // advances past the run end.  Both must yield this exact series.
+  const SloConfig cfg{/*target_p99_us=*/200, /*window_sec=*/10};
+  SloMonitor fed(cfg);
+  SloMonitor advanced(cfg);
+  const std::uint64_t lat[] = {10, 500, 40, 250, 90, 70, 320, 15};
+  for (int i = 0; i < 8; ++i) {
+    const std::uint64_t t = (i < 4 ? 12 + 9 * i : 60 + 9 * (i - 4)) * kSec;
+    fed.record(t, lat[i]);
+    advanced.record(t, lat[i]);
+  }
+  fed.finalize();
+  advanced.advance_to(200 * kSec);
+  advanced.finalize();
+
+  struct Want {
+    std::uint64_t start_sec, count, p50_us, p95_us, p99_us;
+    bool violated;
+  };
+  const Want want[] = {
+      {10, 1, 10, 10, 10, false},    {20, 1, 500, 500, 500, true},
+      {30, 2, 40, 250, 250, true},   {40, 0, 0, 0, 0, true},
+      {50, 0, 0, 0, 0, true},        {60, 2, 70, 90, 90, false},
+      {70, 1, 320, 320, 320, true},  {80, 1, 15, 15, 15, false}};
+  for (const SloMonitor* slo : {&fed, &advanced}) {
+    ASSERT_EQ(slo->windows().size(), 8u);
+    for (std::size_t i = 0; i < 8; ++i) {
+      const SloWindow& w = slo->windows()[i];
+      EXPECT_EQ(w.start_sec, want[i].start_sec) << i;
+      EXPECT_EQ(w.count, want[i].count) << i;
+      EXPECT_EQ(w.p50_us, want[i].p50_us) << i;
+      EXPECT_EQ(w.p95_us, want[i].p95_us) << i;
+      EXPECT_EQ(w.p99_us, want[i].p99_us) << i;
+      EXPECT_EQ(w.violated, want[i].violated) << i;
+    }
+    EXPECT_EQ(slo->burn_per_mille(), 625u);
+    const std::vector<SloViolation> runs = slo->violations();
+    ASSERT_EQ(runs.size(), 2u);
+    EXPECT_EQ(runs[0].start_sec, 20u);
+    EXPECT_EQ(runs[0].end_sec, 60u);
+    EXPECT_EQ(runs[1].start_sec, 70u);
+    EXPECT_EQ(runs[1].end_sec, 80u);
+  }
+}
+
+TEST(NearestRank, TakesTheCeilRankClampedToTheSample) {
+  const std::vector<std::uint64_t> v = {1, 2, 3, 4, 5, 6, 7, 8, 9, 10};
+  EXPECT_EQ(nearest_rank(v, 0.50), 5u);   // ⌈5⌉ = 5th
+  EXPECT_EQ(nearest_rank(v, 0.95), 10u);  // ⌈9.5⌉ = 10th
+  EXPECT_EQ(nearest_rank(v, 0.0), 1u);    // rank clamps up to 1
+  EXPECT_EQ(nearest_rank(v, 1.5), 10u);   // and down to n
+  EXPECT_EQ(nearest_rank({}, 0.5), 0u);
+}
+
+// ---- Live series: the closed-window rule while a run is in progress ----
 //
-// Edge pins for the online empty-window rule (ISSUE 10 satellite): the
-// current, not-yet-elapsed window must never count as violated, and
+// The current, not-yet-elapsed window must never count as violated, and
 // leading/trailing empty windows stay excluded.
 
-TEST(OnlineSloMonitor, OpenWindowIsNeverViolated) {
-  OnlineSloMonitor slo(SloConfig{/*target_p99_us=*/50, /*window_sec=*/10});
+TEST(SloMonitor, OpenWindowIsNeverViolated) {
+  SloMonitor slo(SloConfig{/*target_p99_us=*/50, /*window_sec=*/10});
   // One over-target sample in the window [0,10), queried mid-window: the
   // window has not elapsed, so nothing is closed and nothing is violated.
   slo.record(2 * kSec, 999);
@@ -161,8 +217,8 @@ TEST(OnlineSloMonitor, OpenWindowIsNeverViolated) {
   EXPECT_EQ(slo.violated_streak(), 1);
 }
 
-TEST(OnlineSloMonitor, CurrentEmptyWindowDoesNotCountAsViolated) {
-  OnlineSloMonitor slo(SloConfig{/*target_p99_us=*/50, /*window_sec=*/10});
+TEST(SloMonitor, CurrentEmptyWindowDoesNotCountAsViolated) {
+  SloMonitor slo(SloConfig{/*target_p99_us=*/50, /*window_sec=*/10});
   slo.record(5 * kSec, 10);
   // Sinks silent since t=10 s; at t=29 s the windows [10,20) has closed
   // (violated: silence after traffic), but [20,30) is still open and must
@@ -174,8 +230,8 @@ TEST(OnlineSloMonitor, CurrentEmptyWindowDoesNotCountAsViolated) {
   EXPECT_EQ(slo.violated_windows(), 1u);
 }
 
-TEST(OnlineSloMonitor, LeadingEmptyWindowsAreSkipped) {
-  OnlineSloMonitor slo(SloConfig{/*target_p99_us=*/50, /*window_sec=*/10});
+TEST(SloMonitor, LeadingEmptyWindowsAreSkipped) {
+  SloMonitor slo(SloConfig{/*target_p99_us=*/50, /*window_sec=*/10});
   // No traffic at all until t=95 s: advancing time alone creates nothing.
   slo.advance_to(90 * kSec);
   EXPECT_TRUE(slo.windows().empty());
@@ -186,12 +242,12 @@ TEST(OnlineSloMonitor, LeadingEmptyWindowsAreSkipped) {
   EXPECT_FALSE(slo.windows()[0].violated);
 }
 
-TEST(OnlineSloMonitor, TrailingEmptyWindowsAreTrimmedAtFinalize) {
-  OnlineSloMonitor slo(SloConfig{/*target_p99_us=*/50, /*window_sec=*/10});
+TEST(SloMonitor, TrailingEmptyWindowsAreTrimmedAtFinalize) {
+  SloMonitor slo(SloConfig{/*target_p99_us=*/50, /*window_sec=*/10});
   slo.record(5 * kSec, 10);
   // Run ends at t=60 s with the sinks silent since t=10 s.  Live, the
   // silent closed windows count as violated; at finalize they turn out to
-  // be the shutdown tail and are excluded, matching the batch monitor.
+  // be the shutdown tail and are excluded.
   slo.advance_to(60 * kSec);
   EXPECT_EQ(slo.windows().size(), 6u);
   EXPECT_EQ(slo.violated_windows(), 5u);
@@ -201,8 +257,8 @@ TEST(OnlineSloMonitor, TrailingEmptyWindowsAreTrimmedAtFinalize) {
   EXPECT_EQ(slo.burn_per_mille(), 0u);
 }
 
-TEST(OnlineSloMonitor, InteriorEmptyWindowStaysViolatedThroughFinalize) {
-  OnlineSloMonitor slo(SloConfig{/*target_p99_us=*/1000, /*window_sec=*/10});
+TEST(SloMonitor, InteriorEmptyWindowStaysViolatedThroughFinalize) {
+  SloMonitor slo(SloConfig{/*target_p99_us=*/1000, /*window_sec=*/10});
   slo.record(5 * kSec, 100);
   slo.record(35 * kSec, 100);
   slo.advance_to(40 * kSec);
@@ -215,8 +271,8 @@ TEST(OnlineSloMonitor, InteriorEmptyWindowStaysViolatedThroughFinalize) {
   EXPECT_EQ(slo.burn_per_mille(), 500u);
 }
 
-TEST(OnlineSloMonitor, RecordPastOpenWindowClosesIt) {
-  OnlineSloMonitor slo(SloConfig{/*target_p99_us=*/50, /*window_sec=*/10});
+TEST(SloMonitor, RecordPastOpenWindowClosesIt) {
+  SloMonitor slo(SloConfig{/*target_p99_us=*/50, /*window_sec=*/10});
   slo.record(5 * kSec, 100);   // violated once closed
   slo.record(15 * kSec, 10);   // lands in the next window, closing [0,10)
   ASSERT_EQ(slo.windows().size(), 1u);
@@ -224,8 +280,8 @@ TEST(OnlineSloMonitor, RecordPastOpenWindowClosesIt) {
   EXPECT_EQ(slo.windows()[0].count, 1u);
 }
 
-TEST(OnlineSloMonitor, StreaksTrackTheTailOfTheClosedSeries) {
-  OnlineSloMonitor slo(SloConfig{/*target_p99_us=*/50, /*window_sec=*/10});
+TEST(SloMonitor, StreaksTrackTheTailOfTheClosedSeries) {
+  SloMonitor slo(SloConfig{/*target_p99_us=*/50, /*window_sec=*/10});
   slo.record(5 * kSec, 999);    // w0 violated
   slo.record(15 * kSec, 999);   // w1 violated
   slo.record(25 * kSec, 10);    // w2 fine
@@ -236,33 +292,6 @@ TEST(OnlineSloMonitor, StreaksTrackTheTailOfTheClosedSeries) {
   slo.advance_to(40 * kSec);
   EXPECT_EQ(slo.ok_streak(), 2);
   EXPECT_EQ(slo.violated_windows(), 2u);
-}
-
-TEST(OnlineSloMonitor, FinalizedSeriesMatchesBatchMonitor) {
-  // Equivalence: the same sample stream, advanced past the end and
-  // finalized, must reproduce the batch monitor's window series exactly.
-  const SloConfig cfg{/*target_p99_us=*/200, /*window_sec=*/10};
-  SloMonitor batch(cfg);
-  OnlineSloMonitor online(cfg);
-  const std::uint64_t lat[] = {10, 500, 40, 250, 90, 70, 320, 15};
-  for (int i = 0; i < 8; ++i) {
-    // Arrivals spread over [12, 96] s with an interior gap at [40,60).
-    const std::uint64_t t = (i < 4 ? 12 + 9 * i : 60 + 9 * (i - 4)) * kSec;
-    batch.record(t, lat[i]);
-    online.record(t, lat[i]);
-  }
-  batch.finalize();
-  online.advance_to(200 * kSec);
-  online.finalize();
-  ASSERT_EQ(online.windows().size(), batch.windows().size());
-  for (std::size_t i = 0; i < batch.windows().size(); ++i) {
-    EXPECT_EQ(online.windows()[i].start_sec, batch.windows()[i].start_sec);
-    EXPECT_EQ(online.windows()[i].count, batch.windows()[i].count);
-    EXPECT_EQ(online.windows()[i].p50_us, batch.windows()[i].p50_us);
-    EXPECT_EQ(online.windows()[i].p99_us, batch.windows()[i].p99_us);
-    EXPECT_EQ(online.windows()[i].violated, batch.windows()[i].violated);
-  }
-  EXPECT_EQ(online.burn_per_mille(), batch.burn_per_mille());
 }
 
 // Boundary pins for the windowed-percentile fix: the report's whole-run

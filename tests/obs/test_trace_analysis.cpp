@@ -222,5 +222,55 @@ TEST(TraceGolden, SmallTraceParsesAnalyzesAndChecksClean) {
   EXPECT_EQ(r.tuples_checked, 4u);
 }
 
+TEST(TraceGolden, SloSeriesIgnoresLineOrder) {
+  // The golden trace lists a tuple finishing at 1.005 s before one
+  // finishing at 0.5001 s; with 1 s windows those land in different
+  // windows, so slo_of must order arrivals itself.  Reversing every line
+  // must leave the series untouched.
+  const std::string text =
+      read_file(std::string(RILL_OBS_DATA_DIR) + "/small_trace.jsonl");
+  std::vector<std::string> lines;
+  std::istringstream in(text);
+  for (std::string line; std::getline(in, line);) lines.push_back(line);
+  std::string reversed;
+  for (auto it = lines.rbegin(); it != lines.rend(); ++it) {
+    reversed += *it + "\n";
+  }
+
+  const SloConfig cfg{/*target_p99_us=*/100'000, /*window_sec=*/1};
+  const SloMonitor fwd = slo_of(analyze(parse_jsonl(text)), cfg);
+  const SloMonitor rev = slo_of(analyze(parse_jsonl(reversed)), cfg);
+
+  // Windows 0 and 1 hold the two fast tuples, 2..91 are a silent
+  // (violated) gap, 92 holds the two pause-stalled migration tuples.
+  ASSERT_EQ(fwd.windows().size(), 93u);
+  EXPECT_EQ(fwd.windows()[0].count, 1u);
+  EXPECT_EQ(fwd.windows()[1].count, 1u);
+  EXPECT_EQ(fwd.windows()[92].count, 2u);
+  EXPECT_EQ(fwd.violated_windows(), 91u);
+  EXPECT_EQ(fwd.burn_per_mille(), 978u);
+
+  ASSERT_EQ(rev.windows().size(), fwd.windows().size());
+  for (std::size_t i = 0; i < fwd.windows().size(); ++i) {
+    const SloWindow& f = fwd.windows()[i];
+    const SloWindow& r = rev.windows()[i];
+    EXPECT_EQ(r.start_sec, f.start_sec) << i;
+    EXPECT_EQ(r.count, f.count) << i;
+    EXPECT_EQ(r.p50_us, f.p50_us) << i;
+    EXPECT_EQ(r.p95_us, f.p95_us) << i;
+    EXPECT_EQ(r.p99_us, f.p99_us) << i;
+    EXPECT_EQ(r.violated, f.violated) << i;
+  }
+  EXPECT_EQ(rev.burn_per_mille(), fwd.burn_per_mille());
+  const std::vector<SloViolation> fv = fwd.violations();
+  const std::vector<SloViolation> rv = rev.violations();
+  ASSERT_EQ(fv.size(), 1u);
+  EXPECT_EQ(fv[0].start_sec, 2u);
+  EXPECT_EQ(fv[0].end_sec, 93u);
+  ASSERT_EQ(rv.size(), fv.size());
+  EXPECT_EQ(rv[0].start_sec, fv[0].start_sec);
+  EXPECT_EQ(rv[0].end_sec, fv[0].end_sec);
+}
+
 }  // namespace
 }  // namespace rill::obs::analysis

@@ -2,16 +2,14 @@
 # Tier-1 CI gate: RelWithDebInfo build + full test suite, then the ASan
 # preset (build + the fast chaos/FGM teardown subset). The TSan preset
 # (`--tsan`) is opt-in and build-only — the simulator is single-threaded
-# until the parallel engine lands, so there are no races to run down yet.
+# (sweeps parallelise one run per process), so there are no races to run
+# down.
 #
 # A lint gate runs right after the default-preset tests:
 #   * rill_lint (tools/lint) enforces the determinism rules R1–R4, the
-#     metric-name grammar R5, the callback-lifetime rule R6 and the
-#     VM-island affinity rule R7 over src/ bench/ tools/ and must report
-#     zero findings — any new R6/R7 violation fails the gate (there is no
-#     committed baseline; the tree is clean).  The gate also emits the
-#     island map (build/islands.json) consumed by the parallel-engine
-#     work and fails if it comes out empty;
+#     metric-name grammar R5 and the callback-lifetime rule R6 over src/
+#     bench/ tools/ and must report zero findings — any new violation
+#     fails the gate (there is no committed baseline; the tree is clean);
 #   * clang-tidy runs the checked-in .clang-tidy profile over src/ when
 #     the binary is available (skipped with a notice otherwise — the
 #     profile needs no network, just an installed clang-tidy).
@@ -92,13 +90,8 @@ echo "==> tier-1: ctest (default preset)"
 ctest --preset default -j "$jobs"
 
 if [ "$run_lint" = 1 ]; then
-  echo "==> lint gate: rill_lint (rules R1-R7) + island map"
-  ./build/tools/lint/rill_lint --root . --jobs "$jobs" \
-    --islands-out build/islands.json
-  [ -s build/islands.json ] && grep -q '"islands"' build/islands.json \
-    || { echo "ci.sh: build/islands.json is empty — island annotations" \
-              "(RILL_ISLAND/RILL_SHARED) went missing" >&2
-         exit 1; }
+  echo "==> lint gate: rill_lint (rules R1-R6)"
+  ./build/tools/lint/rill_lint --root . --jobs "$jobs"
 
   if command -v clang-tidy >/dev/null 2>&1; then
     echo "==> lint gate: clang-tidy (.clang-tidy profile)"
@@ -267,10 +260,10 @@ if [ "$run_asan" = 1 ]; then
 fi
 
 if [ "$run_tsan" = 1 ]; then
-  # Build-only until the parallel engine lands: the simulator is
-  # single-threaded today, so running tests under TSan buys nothing, but
-  # the build keeps the instrumentation-clean property from rotting.
-  echo "==> tsan: configure + build (build-only; no threads to race yet)"
+  # Build-only: the simulator is single-threaded, so running tests under
+  # TSan buys nothing, but the build keeps the instrumentation-clean
+  # property from rotting.
+  echo "==> tsan: configure + build (build-only; no threads to race)"
   cmake --preset tsan
   cmake --build --preset tsan -j "$jobs"
 fi
