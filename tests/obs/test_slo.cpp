@@ -198,10 +198,12 @@ TEST(NearestRank, TakesTheCeilRankClampedToTheSample) {
 
 // ---- Live series: the closed-window rule while a run is in progress ----
 //
-// The current, not-yet-elapsed window must never count as violated, and
-// leading/trailing empty windows stay excluded.
+// The OnlineSloMonitor suite drives SloMonitor online, through record()
+// and advance_to() as the autoscaler does.  The current, not-yet-elapsed
+// window must never count as violated, and leading/trailing empty windows
+// stay excluded.
 
-TEST(SloMonitor, OpenWindowIsNeverViolated) {
+TEST(OnlineSloMonitor, OpenWindowIsNeverViolated) {
   SloMonitor slo(SloConfig{/*target_p99_us=*/50, /*window_sec=*/10});
   // One over-target sample in the window [0,10), queried mid-window: the
   // window has not elapsed, so nothing is closed and nothing is violated.
@@ -217,7 +219,7 @@ TEST(SloMonitor, OpenWindowIsNeverViolated) {
   EXPECT_EQ(slo.violated_streak(), 1);
 }
 
-TEST(SloMonitor, CurrentEmptyWindowDoesNotCountAsViolated) {
+TEST(OnlineSloMonitor, CurrentEmptyWindowDoesNotCountAsViolated) {
   SloMonitor slo(SloConfig{/*target_p99_us=*/50, /*window_sec=*/10});
   slo.record(5 * kSec, 10);
   // Sinks silent since t=10 s; at t=29 s the windows [10,20) has closed
@@ -230,7 +232,7 @@ TEST(SloMonitor, CurrentEmptyWindowDoesNotCountAsViolated) {
   EXPECT_EQ(slo.violated_windows(), 1u);
 }
 
-TEST(SloMonitor, LeadingEmptyWindowsAreSkipped) {
+TEST(OnlineSloMonitor, LeadingEmptyWindowsAreSkipped) {
   SloMonitor slo(SloConfig{/*target_p99_us=*/50, /*window_sec=*/10});
   // No traffic at all until t=95 s: advancing time alone creates nothing.
   slo.advance_to(90 * kSec);
@@ -242,7 +244,7 @@ TEST(SloMonitor, LeadingEmptyWindowsAreSkipped) {
   EXPECT_FALSE(slo.windows()[0].violated);
 }
 
-TEST(SloMonitor, TrailingEmptyWindowsAreTrimmedAtFinalize) {
+TEST(OnlineSloMonitor, TrailingEmptyWindowsAreTrimmedAtFinalize) {
   SloMonitor slo(SloConfig{/*target_p99_us=*/50, /*window_sec=*/10});
   slo.record(5 * kSec, 10);
   // Run ends at t=60 s with the sinks silent since t=10 s.  Live, the
@@ -257,7 +259,7 @@ TEST(SloMonitor, TrailingEmptyWindowsAreTrimmedAtFinalize) {
   EXPECT_EQ(slo.burn_per_mille(), 0u);
 }
 
-TEST(SloMonitor, InteriorEmptyWindowStaysViolatedThroughFinalize) {
+TEST(OnlineSloMonitor, InteriorEmptyWindowStaysViolatedThroughFinalize) {
   SloMonitor slo(SloConfig{/*target_p99_us=*/1000, /*window_sec=*/10});
   slo.record(5 * kSec, 100);
   slo.record(35 * kSec, 100);
@@ -271,7 +273,7 @@ TEST(SloMonitor, InteriorEmptyWindowStaysViolatedThroughFinalize) {
   EXPECT_EQ(slo.burn_per_mille(), 500u);
 }
 
-TEST(SloMonitor, RecordPastOpenWindowClosesIt) {
+TEST(OnlineSloMonitor, RecordPastOpenWindowClosesIt) {
   SloMonitor slo(SloConfig{/*target_p99_us=*/50, /*window_sec=*/10});
   slo.record(5 * kSec, 100);   // violated once closed
   slo.record(15 * kSec, 10);   // lands in the next window, closing [0,10)
@@ -280,7 +282,7 @@ TEST(SloMonitor, RecordPastOpenWindowClosesIt) {
   EXPECT_EQ(slo.windows()[0].count, 1u);
 }
 
-TEST(SloMonitor, StreaksTrackTheTailOfTheClosedSeries) {
+TEST(OnlineSloMonitor, StreaksTrackTheTailOfTheClosedSeries) {
   SloMonitor slo(SloConfig{/*target_p99_us=*/50, /*window_sec=*/10});
   slo.record(5 * kSec, 999);    // w0 violated
   slo.record(15 * kSec, 999);   // w1 violated

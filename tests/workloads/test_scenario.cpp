@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 #include "workloads/scenario.hpp"
 #include "workloads/dags.hpp"
 
@@ -13,6 +15,15 @@ struct Table1Row {
   int scale_in_d3;
   int scale_out_d1;
 };
+
+// gtest would otherwise print the row as raw bytes, padding included, and
+// the padding after `dag` is uninitialised: the printed value lands in the
+// ctest test name, which then changes from build to build.
+void PrintTo(const Table1Row& row, std::ostream* os) {
+  *os << to_string(row.dag) << ": " << row.slots << " slots, "
+      << row.default_d2 << " D2, " << row.scale_in_d3 << " D3, "
+      << row.scale_out_d1 << " D1";
+}
 
 class Table1Plans : public ::testing::TestWithParam<Table1Row> {};
 
