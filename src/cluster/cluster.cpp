@@ -46,6 +46,16 @@ void Cluster::release(VmId id) {
   vm.released_at = engine_.now();
 }
 
+void Cluster::release_vms_not_in(const std::vector<VmId>& vms,
+                                 const std::vector<VmId>& keep) {
+  for (VmId v : vms) {
+    if (std::find(keep.begin(), keep.end(), v) == keep.end() &&
+        vms_.at(v).active()) {
+      release(v);
+    }
+  }
+}
+
 const Vm& Cluster::vm(VmId id) const { return vms_.at(id); }
 const Slot& Cluster::slot(SlotId id) const { return slots_.at(id); }
 

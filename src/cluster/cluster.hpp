@@ -30,6 +30,11 @@ class Cluster {
   /// Release a VM; its slots must be vacant.
   void release(VmId vm);
 
+  /// Release every still-active VM of `vms` that is not in `keep` — the
+  /// VMs a migration vacated (scale-in billing benefit).
+  void release_vms_not_in(const std::vector<VmId>& vms,
+                          const std::vector<VmId>& keep);
+
   [[nodiscard]] const Vm& vm(VmId id) const;
   [[nodiscard]] const Slot& slot(SlotId id) const;
 

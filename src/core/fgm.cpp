@@ -2,19 +2,8 @@
 #include <utility>
 
 #include "core/strategies.hpp"
-#include "obs/trace.hpp"
 
 namespace rill::core {
-
-namespace {
-
-void strategy_instant(dsps::Platform& platform, const char* name) {
-  if (auto* tr = platform.tracer()) {
-    tr->instant(obs::kTrackController, "strategy", name);
-  }
-}
-
-}  // namespace
 
 /// Shared state of one fluid attempt: the per-instance batch chains run
 /// concurrently and the last one to park (AllMoved or Failed) decides the
@@ -26,21 +15,9 @@ struct FgmStrategy::FluidCtx {
   bool failed{false};
 };
 
-void FgmStrategy::configure(dsps::Platform& platform) {
-  // Same session profile as DCR: reliability only for checkpoint events,
-  // no periodic checkpoints — state moves through the store per key-batch
-  // at migration time instead of via a JIT wave.
-  platform.set_user_acking(false);
-  platform.set_checkpoint_mode(dsps::CheckpointMode::Wave);
-  platform.set_delta_checkpointing(platform.config().ckpt_delta);
-  platform.coordinator().stop_periodic();
-}
-
 void FgmStrategy::migrate(dsps::Platform& platform, dsps::MigrationPlan plan,
                           std::function<void(bool)> done) {
-  phases_ = PhaseTimes{};
-  phases_.request_at = platform.engine().now();
-  strategy_instant(platform, "request");
+  begin_attempt(platform);
 
   auto ctx = std::make_shared<FluidCtx>();
   ctx->plan = std::move(plan);
@@ -88,9 +65,7 @@ void FgmStrategy::finish_attempt(dsps::Platform& platform,
     // behind the shadow routing, and the sources never paused — the abort
     // is instantaneous and loses nothing.  Shadows stay warm so a retry
     // resumes from the ranges still unmoved.
-    phases_.aborted = true;
-    phases_.aborted_at = now;
-    strategy_instant(platform, "abort");
+    mark_aborted(platform);
     platform.rebalancer().abort_fluid();
     phases_.sources_unpaused = now;
     phases_.migration_done = now;
@@ -100,7 +75,7 @@ void FgmStrategy::finish_attempt(dsps::Platform& platform,
   // Every batch landed on its shadow: the moment state is whole on the
   // target is this strategy's "init complete".
   phases_.init_complete = now;
-  strategy_instant(platform, "fgm_all_moved");
+  instant(platform, "fgm_all_moved");
   platform.rebalancer().finalize_fluid(ctx->plan);
   phases_.migration_done = platform.engine().now();
   if (ctx->done) ctx->done(true);

@@ -2,35 +2,24 @@
 // concrete types are exposed for tests that poke at strategy internals.
 #pragma once
 
+#include <memory>
+
 #include "core/strategy.hpp"
 
 namespace rill::core {
 
-/// Default Storm Migration: always-on acking for every user event plus
-/// periodic checkpoints; migration = immediate rebalance with timeout 0,
-/// then an INIT wave that is re-sent only on 30 s ack-timeout failures.
+/// Storm Migration (§2): rebalance, then an INIT wave that is re-sent only
+/// on 30 s ack-timeout failures; always-on acking repairs the losses.
+/// DSM uses rebalance timeout 0.  DSM-T passes Storm's user-estimated
+/// timeout: the sources pause for that window before the kill, hoping
+/// in-flight events drain.  Unlike DCR there is no rearguard to *verify*
+/// the drain — an under-estimate still loses events, an over-estimate
+/// idles the dataflow.
 class DsmStrategy final : public MigrationStrategy {
  public:
-  [[nodiscard]] StrategyKind kind() const noexcept override {
-    return StrategyKind::DSM;
-  }
-  void configure(dsps::Platform& platform) override;
-  void migrate(dsps::Platform& platform, dsps::MigrationPlan plan,
-               std::function<void(bool)> done) override;
-};
-
-/// DSM with Storm's rebalance timeout: pause sources for a user-estimated
-/// window before the kill, hoping in-flight events drain.  Unlike DCR
-/// there is no rearguard to *verify* the drain — an under-estimate still
-/// loses events, an over-estimate idles the dataflow.
-class DsmTimeoutStrategy final : public MigrationStrategy {
- public:
-  explicit DsmTimeoutStrategy(SimDuration timeout) : timeout_(timeout) {}
-  [[nodiscard]] StrategyKind kind() const noexcept override {
-    return StrategyKind::DSM_T;
-  }
+  DsmStrategy(StrategyKind kind, SimDuration timeout) noexcept
+      : MigrationStrategy(kind), timeout_(timeout) {}
   [[nodiscard]] SimDuration timeout() const noexcept { return timeout_; }
-  void configure(dsps::Platform& platform) override;
   void migrate(dsps::Platform& platform, dsps::MigrationPlan plan,
                std::function<void(bool)> done) override;
 
@@ -38,26 +27,32 @@ class DsmTimeoutStrategy final : public MigrationStrategy {
   SimDuration timeout_;
 };
 
-/// Drain, Checkpoint and Restore.
-class DcrStrategy final : public MigrationStrategy {
+/// DCR (§3.1, Wave wiring) and CCR (§3.2, Capture wiring): the shared
+/// transactional pause → checkpoint → rebalance → restore → unpause flow.
+/// The wiring comes from session_profile(kind): PREPARE/INIT sweep the
+/// dataflow edges (DCR) or go out as a broadcast (CCR).  On a failed
+/// checkpoint the migration aborts before anything moves.  On a failed
+/// restore (init_deadline exceeded) it broadcasts ROLLBACK, re-pins every
+/// failed instance onto its exact old slot and runs an unbounded recovery
+/// INIT so the sources only resume once the old placement is restored —
+/// the abort itself loses no user events.
+class CheckpointedStrategy final : public MigrationStrategy {
  public:
-  [[nodiscard]] StrategyKind kind() const noexcept override {
-    return StrategyKind::DCR;
-  }
-  void configure(dsps::Platform& platform) override;
+  explicit CheckpointedStrategy(StrategyKind kind) noexcept
+      : MigrationStrategy(kind), mode_(session_profile(kind).wiring) {}
   void migrate(dsps::Platform& platform, dsps::MigrationPlan plan,
                std::function<void(bool)> done) override;
-};
 
-/// Capture, Checkpoint and Resume.
-class CcrStrategy final : public MigrationStrategy {
- public:
-  [[nodiscard]] StrategyKind kind() const noexcept override {
-    return StrategyKind::CCR;
-  }
-  void configure(dsps::Platform& platform) override;
-  void migrate(dsps::Platform& platform, dsps::MigrationPlan plan,
-               std::function<void(bool)> done) override;
+ private:
+  /// Unpause the sources and end the attempt with `done(ok)`.
+  void resume(dsps::Platform& platform, bool ok,
+              const std::function<void(bool)>& done);
+  void abort_and_repin(dsps::Platform& platform,
+                       dsps::Placement old_placement,
+                       std::vector<VmId> old_vms,
+                       std::function<void(bool)> done);
+
+  dsps::CheckpointMode mode_;
 };
 
 /// Fluid key-batched migration (Megaphone-style): no pause, no kill.
@@ -70,10 +65,7 @@ class CcrStrategy final : public MigrationStrategy {
 /// retry resumes from the ranges still unmoved.
 class FgmStrategy final : public MigrationStrategy {
  public:
-  [[nodiscard]] StrategyKind kind() const noexcept override {
-    return StrategyKind::FGM;
-  }
-  void configure(dsps::Platform& platform) override;
+  FgmStrategy() noexcept : MigrationStrategy(StrategyKind::FGM) {}
   void migrate(dsps::Platform& platform, dsps::MigrationPlan plan,
                std::function<void(bool)> done) override;
 

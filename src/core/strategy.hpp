@@ -18,7 +18,6 @@
 #include <memory>
 #include <optional>
 #include <string_view>
-#include <vector>
 
 #include "common/time.hpp"
 #include "dsps/platform.hpp"
@@ -69,18 +68,32 @@ struct PhaseTimes {
   }
 };
 
+/// Session knobs a strategy sets on the platform for normal operation.
+struct SessionProfile {
+  bool user_acking{false};  ///< ack every user event (DSM's reliability)
+  dsps::CheckpointMode wiring{dsps::CheckpointMode::Wave};
+  bool periodic_waves{false};  ///< periodic checkpoints (paper: every 30 s)
+};
+
+/// The one table behind MigrationStrategy::configure: DSM and DSM-T keep
+/// always-on acking and periodic waves; DCR, CCR and FGM ack only control
+/// events and checkpoint at migration time; only CCR uses the capture
+/// (broadcast) wiring.
+[[nodiscard]] SessionProfile session_profile(StrategyKind k) noexcept;
+
 class MigrationStrategy {
  public:
   virtual ~MigrationStrategy() = default;
 
-  [[nodiscard]] virtual StrategyKind kind() const noexcept = 0;
+  [[nodiscard]] StrategyKind kind() const noexcept { return kind_; }
   [[nodiscard]] std::string_view name() const noexcept {
     return to_string(kind());
   }
 
-  /// Configure platform-session knobs (acking scope, checkpoint mode,
-  /// periodic checkpointing).  Call once after deploy, before start.
-  virtual void configure(dsps::Platform& platform) = 0;
+  /// Apply session_profile(kind()) to the platform: acking scope,
+  /// checkpoint wiring, periodic checkpointing.  Call once after deploy,
+  /// before start.  Delta checkpointing always follows config().ckpt_delta.
+  void configure(dsps::Platform& platform) const;
 
   /// Enact a migration.  `done(success)` fires when the strategy considers
   /// the migration complete (all tasks initialised and, for DCR/CCR,
@@ -91,25 +104,21 @@ class MigrationStrategy {
   [[nodiscard]] const PhaseTimes& phases() const noexcept { return phases_; }
 
  protected:
-  /// Shared transactional pause → checkpoint → rebalance → restore →
-  /// unpause flow used by DCR (Wave) and CCR (Capture).  On a failed
-  /// checkpoint the migration aborts before anything moves.  On a failed
-  /// restore (init_deadline exceeded) it broadcasts ROLLBACK, re-pins every
-  /// instance onto its exact old slot and runs an unbounded recovery INIT
-  /// so the sources only resume once the old placement is restored — the
-  /// abort itself loses no user events.
-  void run_checkpointed_migration(dsps::Platform& platform,
-                                  dsps::MigrationPlan plan,
-                                  dsps::CheckpointMode mode,
-                                  std::function<void(bool)> done);
+  explicit MigrationStrategy(StrategyKind kind) noexcept : kind_(kind) {}
+
+  /// Start a migration attempt: reset phases_, stamp the request time and
+  /// record the "request" instant.
+  void begin_attempt(dsps::Platform& platform);
+  /// Mark the attempt aborted now and record the "abort" instant.
+  void mark_aborted(dsps::Platform& platform);
+  /// Control-plane instant on the controller lane (no-op when tracing is
+  /// off).
+  static void instant(dsps::Platform& platform, const char* name);
 
   PhaseTimes phases_;
 
  private:
-  void abort_and_repin(dsps::Platform& platform, dsps::CheckpointMode mode,
-                       dsps::Placement old_placement,
-                       std::vector<VmId> old_vms,
-                       std::function<void(bool)> done);
+  StrategyKind kind_;
 };
 
 /// Factory for the paper strategies.  DSM_T gets a default 10 s timeout;

@@ -188,12 +188,18 @@ class CheckpointCoordinator {
   void arm_periodic();
   void send_init_attempt();
   void arm_init_resend();
-  void start_prepare(CheckpointMode mode, std::uint64_t cid, int attempt,
-                     std::shared_ptr<Done> done);
-  void start_commit(CheckpointMode mode, std::uint64_t cid, int attempt,
-                    std::shared_ptr<Done> done);
+  /// One PREPARE or COMMIT phase of a checkpoint wave (`phase`): a traced
+  /// wave, retried on failure up to config().checkpoint_wave_retries times
+  /// unless doomed, then aborted.  PREPARE success starts COMMIT; COMMIT
+  /// success records the committed checkpoint and fires `done(true)`.
+  void run_wave_phase(ControlKind phase, CheckpointMode mode,
+                      std::uint64_t cid, int attempt,
+                      std::shared_ptr<Done> done);
   void abort_wave(std::uint64_t cid, std::shared_ptr<Done> done);
-  void fail_init_session();
+  /// Close the run_init session: cancel its timers, forget every
+  /// outstanding wave but the `completed` one, record the outcome and fire
+  /// the session's done(ok).  The deadline path passes ok = false.
+  void end_init_session(bool ok, RootId completed);
   /// Sharded stores only: fire one pipelined MGET per shard covering every
   /// restoring instance's blob, so INITs restore from the cache instead of
   /// serial per-task GETs.  Delta blobs reference base blobs; follow-up

@@ -434,7 +434,7 @@ void Executor::decide_commit_form(std::uint64_t cid) {
   decided_cid_ = cid;
   decided_base_ = 0;
   const PlatformConfig& cfg = platform_.config();
-  if (!platform_.delta_checkpointing() || delta_base_cid_ == 0) return;
+  if (!cfg.ckpt_delta || delta_base_cid_ == 0) return;
   // Compaction: every ckpt_full_every-th blob per instance is forced full,
   // bounding the restore chain.
   if (cfg.ckpt_full_every > 0 && delta_chain_len_ + 1 >= cfg.ckpt_full_every) {
@@ -467,7 +467,7 @@ void Executor::note_persisted(std::uint64_t cid, std::size_t bytes) {
   delta_chain_len_ = was_delta ? delta_chain_len_ + 1 : 0;
   delta_base_cid_ = cid;
   platform_.coordinator().note_commit_blob(was_delta, bytes, delta_chain_len_);
-  if (platform_.delta_checkpointing()) {
+  if (platform_.config().ckpt_delta) {
     if (auto* tr = platform_.tracer()) {
       tr->instant(obs::instance_track(id_.value), "task", "commit_blob",
                   {obs::arg("cid", cid),

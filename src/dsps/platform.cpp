@@ -25,8 +25,7 @@ Platform::Platform(sim::Engine& engine, PlatformConfig config)
       rng_root_(config.seed),
       rng_net_(rng_root_.fork()),
       rng_rebalance_(rng_root_.fork()),
-      rng_ids_(rng_root_.fork()),
-      delta_checkpointing_(config.ckpt_delta) {}
+      rng_ids_(rng_root_.fork()) {}
 
 Platform::~Platform() = default;
 

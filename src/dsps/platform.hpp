@@ -101,20 +101,15 @@ class RILL_PINNED Platform {
     return worker_vms_;
   }
 
-  // ---- session knobs (set by migration strategies) ----
+  // ---- session knobs ----
+  // Set by MigrationStrategy::configure from its kind's session profile
+  // (core/strategy.hpp).  Delta checkpointing is not a session knob: the
+  // executors read config().ckpt_delta directly.
   void set_user_acking(bool on);
   [[nodiscard]] bool user_acking() const noexcept { return user_acking_; }
   void set_checkpoint_mode(CheckpointMode m) noexcept { checkpoint_mode_ = m; }
   [[nodiscard]] CheckpointMode checkpoint_mode() const noexcept {
     return checkpoint_mode_;
-  }
-  /// Incremental checkpointing: COMMIT persists dirty-key deltas instead of
-  /// the full state map when a valid base blob exists.  Seeded from
-  /// config.ckpt_delta; strategies re-affirm (or veto) it in configure()
-  /// alongside the acking / wiring knobs.
-  void set_delta_checkpointing(bool on) noexcept { delta_checkpointing_ = on; }
-  [[nodiscard]] bool delta_checkpointing() const noexcept {
-    return delta_checkpointing_;
   }
 
   void set_listener(EventListener* listener) noexcept { listener_ = listener; }
@@ -253,7 +248,6 @@ class RILL_PINNED Platform {
 
   bool user_acking_{false};
   CheckpointMode checkpoint_mode_{CheckpointMode::Wave};
-  bool delta_checkpointing_{false};
 
   EventListener* listener_{nullptr};
   EventListener null_listener_;

@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <stdexcept>
-#include <unordered_set>
+#include <unordered_map>
 #include <utility>
 
 #include "ckpt/recovery.hpp"
@@ -10,6 +10,19 @@
 #include "obs/trace.hpp"
 
 namespace rill::dsps {
+
+namespace {
+
+/// The plan's task-logic upgrades for `ref`, applied as the instance lands
+/// on its new slot.
+void apply_logic_updates(const MigrationPlan& plan, InstanceRef ref,
+                         Executor& ex) {
+  for (const auto& [task, version] : plan.logic_updates) {
+    if (task == ref.task) ex.set_logic_version(version);
+  }
+}
+
+}  // namespace
 
 Rebalancer::Rebalancer(Platform& platform) : platform_(platform) {}
 
@@ -21,8 +34,8 @@ Placement Rebalancer::current_placement() const {
   return out;
 }
 
-void Rebalancer::rebalance(const MigrationPlan& plan, SimDuration timeout,
-                           std::function<void()> on_command_complete) {
+void Rebalancer::begin_command(const MigrationPlan& plan, const char* span,
+                               std::optional<SimDuration> timeout) {
   if (in_progress_) {
     throw std::logic_error("rebalance already in progress");
   }
@@ -31,18 +44,62 @@ void Rebalancer::rebalance(const MigrationPlan& plan, SimDuration timeout,
   }
   in_progress_ = true;
 
-  RebalanceRecord rec;
-  rec.invoked_at = platform_.engine().now();
-  last_ = rec;
+  last_ = RebalanceRecord{};
+  last_->invoked_at = platform_.engine().now();
 
   trace_span_ = obs::kNoSpan;
   if (auto* tr = platform_.tracer()) {
-    trace_span_ = tr->begin(
-        obs::kTrackRebalancer, "rebalance", "rebalance",
-        {obs::arg("target_vms",
-                  static_cast<std::uint64_t>(plan.target_vms.size())),
-         obs::arg("timeout_sec", time::to_sec(timeout))});
+    std::vector<obs::Arg> args{obs::arg(
+        "target_vms", static_cast<std::uint64_t>(plan.target_vms.size()))};
+    if (timeout.has_value()) {
+      args.push_back(obs::arg("timeout_sec", time::to_sec(*timeout)));
+    }
+    trace_span_ =
+        tr->begin(obs::kTrackRebalancer, "rebalance", span, std::move(args));
   }
+}
+
+void Rebalancer::end_command(const char* key, int value) {
+  in_progress_ = false;
+  if (auto* tr = platform_.tracer()) {
+    tr->end(trace_span_, {obs::arg(key, value)});
+  }
+}
+
+void Rebalancer::launch_workers(
+    const Placement& launching,
+    std::function<void(Executor&, InstanceRef, bool)> on_up) {
+  const PlatformConfig& cfg = platform_.config();
+  // Each worker becomes ready after its own start-up delay plus a
+  // contention term per worker launched onto the same VM.
+  std::unordered_map<std::uint32_t, int> per_vm;
+  for (const auto& [ref, slot] : launching) {
+    ++per_vm[platform_.cluster().vm_of(slot).value];
+  }
+  for (const auto& [ref, slot] : launching) {
+    const int colocated = per_vm[platform_.cluster().vm_of(slot).value];
+    double startup =
+        platform_.rng_rebalance().uniform(cfg.worker_startup_min_sec,
+                                          cfg.worker_startup_max_sec) +
+        cfg.worker_startup_per_colocated_sec * static_cast<double>(colocated);
+    if (platform_.rng_rebalance().uniform01() < cfg.worker_slow_start_prob) {
+      startup += platform_.rng_rebalance().uniform(
+          cfg.worker_slow_start_min_sec, cfg.worker_slow_start_max_sec);
+    }
+    Executor& ex = platform_.executor(ref);
+    const std::uint64_t epoch = ex.epoch();
+    const InstanceRef r = ref;
+    platform_.engine().schedule_detached(
+        // lint: lifetime-ok(ex is a platform-owned Executor; the epoch check marks stale fires)
+        time::sec_f(startup), [&ex, r, epoch, on_up] {
+          on_up(ex, r, ex.epoch() == epoch);
+        });
+  }
+}
+
+void Rebalancer::rebalance(const MigrationPlan& plan, SimDuration timeout,
+                           std::function<void()> on_command_complete) {
+  begin_command(plan, "rebalance", timeout);
 
   if (timeout > 0) {
     // Storm's timeout variant: sources pause so in-flight events may flow
@@ -126,8 +183,6 @@ void Rebalancer::kill_and_redeploy(const MigrationPlan& plan,
         std::max<SimDuration>(remaining, 0),
         [this, plan, migrating, old_vms, preserved = std::move(preserved),
          done = std::move(done)]() mutable {
-          const PlatformConfig& cfg2 = platform_.config();
-
           // Place the migrating instances on the target VMs and rewire.
           const std::vector<SlotId> slots =
               platform_.cluster().vacant_slots_on(plan.target_vms);
@@ -137,9 +192,7 @@ void Rebalancer::kill_and_redeploy(const MigrationPlan& plan,
             Executor& ex = platform_.executor(ref);
             ex.respawn(slot);
             platform_.cluster().occupy(slot, ex.id());
-            for (const auto& [task, version] : plan.logic_updates) {
-              if (task == ref.task) ex.set_logic_version(version);
-            }
+            apply_logic_updates(plan, ref, ex);
           }
           // Hand preserved deliveries back to their (scoped-plan) owners;
           // they drain once the worker is up and its state is restored.
@@ -150,77 +203,37 @@ void Rebalancer::kill_and_redeploy(const MigrationPlan& plan,
           // plan — any old VM still hosting an instance the plan left alone.
           std::vector<VmId> pool = plan.target_vms;
           if (plan.instances.has_value()) {
-            std::unordered_set<std::uint32_t> in_pool;
-            for (VmId v : pool) in_pool.insert(v.value);
-            std::unordered_set<std::uint32_t> hosting;
+            std::vector<VmId> hosting;
             for (const InstanceRef& ref : platform_.worker_instances()) {
-              hosting.insert(platform_.cluster()
-                                 .vm_of(platform_.executor(ref).slot())
-                                 .value);
+              hosting.push_back(platform_.vm_of_instance(ref));
             }
             for (VmId v : old_vms) {
-              if (!in_pool.contains(v.value) && hosting.contains(v.value)) {
+              if (std::ranges::find(pool, v) == pool.end() &&
+                  std::ranges::find(hosting, v) != hosting.end()) {
                 pool.push_back(v);
-                in_pool.insert(v.value);
               }
             }
           }
           platform_.worker_vms_ = pool;
-
           if (plan.release_old_vms) {
-            std::unordered_set<std::uint32_t> target;
-            for (VmId v : pool) target.insert(v.value);
-            for (VmId v : old_vms) {
-              if (!target.contains(v.value) &&
-                  platform_.cluster().vm(v).active()) {
-                platform_.cluster().release(v);
-              }
-            }
+            platform_.cluster().release_vms_not_in(old_vms, pool);
           }
 
-          // Each worker becomes ready after its own start-up delay plus a
-          // contention term per instance co-located on its target VM.
-          std::unordered_map<std::uint32_t, int> per_vm;
+          Placement launching;
           for (const InstanceRef& ref : migrating) {
-            ++per_vm[platform_.cluster()
-                         .vm_of(platform_.executor(ref).slot())
-                         .value];
+            launching.emplace_back(ref, platform_.executor(ref).slot());
           }
-          for (const InstanceRef& ref : migrating) {
-            const int colocated =
-                per_vm[platform_.cluster()
-                           .vm_of(platform_.executor(ref).slot())
-                           .value];
-            double startup =
-                platform_.rng_rebalance().uniform(cfg2.worker_startup_min_sec,
-                                                  cfg2.worker_startup_max_sec) +
-                cfg2.worker_startup_per_colocated_sec *
-                    static_cast<double>(colocated);
-            if (platform_.rng_rebalance().uniform01() <
-                cfg2.worker_slow_start_prob) {
-              startup += platform_.rng_rebalance().uniform(
-                  cfg2.worker_slow_start_min_sec,
-                  cfg2.worker_slow_start_max_sec);
-            }
-            Executor& ex = platform_.executor(ref);
-            const bool stateful = platform_.topology().task(ref.task).stateful;
-            const std::uint64_t epoch = ex.epoch();
-            platform_.engine().schedule_detached(
-                // lint: lifetime-ok(ex is a platform-owned Executor; epoch guard no-ops stale fires)
-                time::sec_f(startup), [&ex, stateful, epoch] {
-                  // Stale once the worker is re-killed (abort re-pin, chaos
-                  // crash): the next incarnation arms its own timer.
-                  if (ex.epoch() != epoch) return;
-                  ex.set_ready(/*awaiting_init=*/stateful);
-                });
-          }
+          launch_workers(launching, [this](Executor& ex, InstanceRef ref,
+                                           bool current) {
+            // Stale once the worker is re-killed (abort re-pin, chaos
+            // crash): the next incarnation arms its own timer.
+            if (!current) return;
+            ex.set_ready(
+                /*awaiting_init=*/platform_.topology().task(ref.task).stateful);
+          });
 
           last_->command_completed_at = platform_.engine().now();
-          in_progress_ = false;
-          if (auto* tr = platform_.tracer()) {
-            tr->end(trace_span_,
-                    {obs::arg("instances", last_->instances_migrated)});
-          }
+          end_command("instances", last_->instances_migrated);
           if (done) done();
         });
   });
@@ -228,25 +241,7 @@ void Rebalancer::kill_and_redeploy(const MigrationPlan& plan,
 
 void Rebalancer::prepare_shadows(
     const MigrationPlan& plan, std::function<void(InstanceRef)> on_shadow_ready) {
-  if (in_progress_) {
-    throw std::logic_error("rebalance already in progress");
-  }
-  if (plan.scheduler == nullptr) {
-    throw std::logic_error("migration plan has no scheduler");
-  }
-  in_progress_ = true;
-
-  RebalanceRecord rec;
-  rec.invoked_at = platform_.engine().now();
-  last_ = rec;
-
-  trace_span_ = obs::kNoSpan;
-  if (auto* tr = platform_.tracer()) {
-    trace_span_ = tr->begin(
-        obs::kTrackRebalancer, "rebalance", "fluid_rebalance",
-        {obs::arg("target_vms",
-                  static_cast<std::uint64_t>(plan.target_vms.size()))});
-  }
+  begin_command(plan, "fluid_rebalance", std::nullopt);
 
   const PlatformConfig& cfg = platform_.config();
   // Instances still carrying fluid state from an aborted attempt resume
@@ -286,43 +281,21 @@ void Rebalancer::prepare_shadows(
 
   platform_.engine().schedule_detached(
       time::sec_f(command_sec),
-      [this, plan, placement, resumed, ready = std::move(on_shadow_ready)] {
-        const PlatformConfig& cfg2 = platform_.config();
+      [this, placement, resumed, ready = std::move(on_shadow_ready)] {
         last_->command_completed_at = platform_.engine().now();
 
         // Shadow workers launch with the same start-up model as respawned
         // workers, including per-VM co-location contention among the
         // shadows themselves.
-        std::unordered_map<std::uint32_t, int> per_vm;
-        for (const auto& [ref, slot] : placement) {
-          ++per_vm[platform_.cluster().vm_of(slot).value];
-        }
-        for (const auto& [ref, slot] : placement) {
-          const int colocated = per_vm[platform_.cluster().vm_of(slot).value];
-          double startup =
-              platform_.rng_rebalance().uniform(cfg2.worker_startup_min_sec,
-                                                cfg2.worker_startup_max_sec) +
-              cfg2.worker_startup_per_colocated_sec *
-                  static_cast<double>(colocated);
-          if (platform_.rng_rebalance().uniform01() <
-              cfg2.worker_slow_start_prob) {
-            startup += platform_.rng_rebalance().uniform(
-                cfg2.worker_slow_start_min_sec, cfg2.worker_slow_start_max_sec);
-          }
-          Executor& ex = platform_.executor(ref);
-          const std::uint64_t epoch = ex.epoch();
-          const InstanceRef r = ref;
-          platform_.engine().schedule_detached(
-              // lint: lifetime-ok(ex is a platform-owned Executor; epoch guard no-ops stale fires)
-              time::sec_f(startup), [&ex, r, epoch, ready] {
-                // If the worker was killed meanwhile its fluid state is
-                // gone; fire anyway — the first batch move then reports
-                // Failed and the strategy aborts cleanly instead of
-                // waiting on a chain that never starts.
-                if (ex.epoch() == epoch) ex.fgm_shadow_up();
-                if (ready) ready(r);
-              });
-        }
+        launch_workers(placement, [ready](Executor& ex, InstanceRef ref,
+                                          bool current) {
+          // If the worker was killed meanwhile its fluid state is gone;
+          // fire anyway — the first batch move then reports Failed and the
+          // strategy aborts cleanly instead of waiting on a chain that
+          // never starts.
+          if (current) ex.fgm_shadow_up();
+          if (ready) ready(ref);
+        });
         // Resumed instances: their shadow may already be up (ready now) or
         // still starting under the previous attempt's timer — poll on the
         // control-plane cadence until it is.
@@ -354,32 +327,16 @@ void Rebalancer::finalize_fluid(const MigrationPlan& plan) {
     if (!ex.fgm_active()) continue;
     platform_.cluster().vacate(ex.slot());
     ex.fgm_finalize();
-    for (const auto& [task, version] : plan.logic_updates) {
-      if (task == ref.task) ex.set_logic_version(version);
-    }
+    apply_logic_updates(plan, ref, ex);
     ++swapped;
   }
   platform_.worker_vms_ = plan.target_vms;
   if (plan.release_old_vms) {
-    std::unordered_set<std::uint32_t> target;
-    for (VmId v : plan.target_vms) target.insert(v.value);
-    for (VmId v : old_vms) {
-      if (!target.contains(v.value) && platform_.cluster().vm(v).active()) {
-        platform_.cluster().release(v);
-      }
-    }
+    platform_.cluster().release_vms_not_in(old_vms, plan.target_vms);
   }
-  in_progress_ = false;
-  if (auto* tr = platform_.tracer()) {
-    tr->end(trace_span_, {obs::arg("instances", swapped)});
-  }
+  end_command("instances", swapped);
 }
 
-void Rebalancer::abort_fluid() {
-  in_progress_ = false;
-  if (auto* tr = platform_.tracer()) {
-    tr->end(trace_span_, {obs::arg("aborted", std::uint64_t{1})});
-  }
-}
+void Rebalancer::abort_fluid() { end_command("aborted", 1); }
 
 }  // namespace rill::dsps

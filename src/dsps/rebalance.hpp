@@ -22,6 +22,7 @@
 
 namespace rill::dsps {
 
+class Executor;
 class Platform;
 
 /// The already-decided new schedule (the paper treats planning as a
@@ -96,6 +97,21 @@ class RILL_PINNED Rebalancer {
   }
 
  private:
+  /// Shared preamble of every command: reject overlapping commands and
+  /// plans without a scheduler, open a fresh RebalanceRecord and the trace
+  /// span (`timeout`, when given, becomes its timeout_sec arg).
+  void begin_command(const MigrationPlan& plan, const char* span,
+                     std::optional<SimDuration> timeout);
+  /// Close the command and its trace span with one `key: value` arg.
+  void end_command(const char* key, int value);
+  /// The one worker start-up model, shared by respawned and shadow
+  /// workers: each worker in `launching` is up after U(min, max) s plus a
+  /// contention term per worker launched onto the same VM, plus an
+  /// occasional slow start, drawn from rng_rebalance() in `launching`
+  /// order.  `on_up(ex, ref, current)` fires when the delay elapses;
+  /// `current` is false if the worker was killed meanwhile.
+  void launch_workers(const Placement& launching,
+                      std::function<void(Executor&, InstanceRef, bool)> on_up);
   void kill_and_redeploy(const MigrationPlan& plan,
                          std::function<void()> on_command_complete);
   /// Poll (control-plane cadence) until a resumed instance's shadow from a

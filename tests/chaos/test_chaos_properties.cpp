@@ -5,6 +5,8 @@
 // must respect invariant 7: identical seeds give identical runs.
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 #include "test_util.hpp"
 
 namespace rill {
@@ -19,6 +21,13 @@ struct ChaosCell {
   StrategyKind strategy;
   std::uint64_t seed;
 };
+
+// Without it gtest prints the cell as raw bytes, including the padding
+// before `seed`, and that text lands in the ctest test name.
+void PrintTo(const ChaosCell& cell, std::ostream* os) {
+  *os << workloads::to_string(cell.dag) << ", "
+      << core::to_string(cell.strategy) << ", seed " << cell.seed;
+}
 
 std::string cell_name(const ::testing::TestParamInfo<ChaosCell>& info) {
   return std::string(workloads::to_string(info.param.dag)) + "_" +

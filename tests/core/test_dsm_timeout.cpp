@@ -12,8 +12,13 @@ namespace {
 using workloads::DagKind;
 using workloads::ScaleKind;
 
-workloads::ExperimentResult run_with_timeout(SimDuration timeout,
-                                             DagKind dag = DagKind::Linear) {
+struct Outcome {
+  workloads::ExperimentResult result;
+  std::uint64_t executed{0};  ///< Engine::executed() at the end of the run
+};
+
+Outcome run_with(std::unique_ptr<MigrationStrategy> strategy,
+                 DagKind dag = DagKind::Linear) {
   // The runner resolves the strategy by kind, so drive the platform
   // directly here to control the timeout value.
   sim::Engine engine;
@@ -29,7 +34,6 @@ workloads::ExperimentResult run_with_timeout(SimDuration timeout,
   metrics::Collector collector;
   platform.set_listener(&collector);
 
-  auto strategy = make_dsm_timeout_strategy(timeout);
   strategy->configure(platform);
   platform.start();
 
@@ -51,7 +55,11 @@ workloads::ExperimentResult run_with_timeout(SimDuration timeout,
   r.report.replayed_messages = collector.replayed_messages();
   r.report.lost_events = collector.lost_user_events();
   r.collector = std::move(collector);
-  return r;
+  return Outcome{std::move(r), engine.executed()};
+}
+
+workloads::ExperimentResult run_with_timeout(SimDuration timeout) {
+  return run_with(make_dsm_timeout_strategy(timeout)).result;
 }
 
 TEST(DsmTimeout, FactoryProducesKind) {
@@ -59,6 +67,37 @@ TEST(DsmTimeout, FactoryProducesKind) {
   ASSERT_NE(s, nullptr);
   EXPECT_EQ(s->kind(), StrategyKind::DSM_T);
   EXPECT_EQ(s->name(), "DSM-T");
+}
+
+TEST(DsmTimeout, ZeroTimeoutIsPlainDsm) {
+  // DSM-T is DSM with a rebalance timeout: at 0 it is the same run, event
+  // for event, and only the kind tells them apart.
+  auto timeout0 = make_dsm_timeout_strategy(0);
+  EXPECT_EQ(timeout0->kind(), StrategyKind::DSM_T);
+  const Outcome t = run_with(std::move(timeout0));
+  const Outcome d = run_with(make_strategy(StrategyKind::DSM));
+
+  EXPECT_EQ(t.executed, d.executed);
+  const PhaseTimes& tp = t.result.phases;
+  const PhaseTimes& dp = d.result.phases;
+  EXPECT_EQ(tp.request_at, dp.request_at);
+  EXPECT_EQ(tp.rebalance_invoked, dp.rebalance_invoked);
+  EXPECT_EQ(tp.rebalance_completed, dp.rebalance_completed);
+  EXPECT_EQ(tp.init_complete, dp.init_complete);
+  EXPECT_EQ(tp.migration_done, dp.migration_done);
+  ASSERT_TRUE(t.result.rebalance.has_value());
+  ASSERT_TRUE(d.result.rebalance.has_value());
+  EXPECT_EQ(t.result.rebalance->killed_at, d.result.rebalance->killed_at);
+  EXPECT_EQ(t.result.rebalance->events_lost_in_queues,
+            d.result.rebalance->events_lost_in_queues);
+
+  const metrics::Collector& tc = t.result.collector;
+  const metrics::Collector& dc = d.result.collector;
+  EXPECT_EQ(tc.roots_emitted(), dc.roots_emitted());
+  EXPECT_EQ(tc.sink_arrivals(), dc.sink_arrivals());
+  EXPECT_EQ(tc.replayed_messages(), dc.replayed_messages());
+  EXPECT_EQ(tc.lost_user_events(), dc.lost_user_events());
+  EXPECT_GT(dc.replayed_messages(), 0u);  // a real DSM migration happened
 }
 
 TEST(DsmTimeout, GenerousTimeoutDrainsInFlightEvents) {

@@ -25,6 +25,57 @@ TEST(StrategyNames, AreStable) {
   EXPECT_EQ(to_string(StrategyKind::CCR), "CCR");
 }
 
+// configure() is one table over the five kinds: acking scope, checkpoint
+// wiring and periodic waves.  Delta checkpointing is not in the table —
+// COMMITs write deltas exactly when config().ckpt_delta is on, whatever
+// the kind.
+TEST(SessionProfile, ConfigureAppliesEachKindsRow) {
+  using dsps::CheckpointMode;
+  struct Row {
+    StrategyKind kind;
+    bool user_acking;
+    CheckpointMode wiring;
+    bool periodic;
+  };
+  const Row rows[] = {
+      {StrategyKind::DSM, true, CheckpointMode::Wave, true},
+      {StrategyKind::DSM_T, true, CheckpointMode::Wave, true},
+      {StrategyKind::DCR, false, CheckpointMode::Wave, false},
+      {StrategyKind::CCR, false, CheckpointMode::Capture, false},
+      {StrategyKind::FGM, false, CheckpointMode::Wave, false},
+  };
+  for (const Row& row : rows) {
+    for (const bool delta : {false, true}) {
+      SCOPED_TRACE(std::string(to_string(row.kind)) +
+                   (delta ? " ckpt_delta=1" : " ckpt_delta=0"));
+      dsps::PlatformConfig cfg;
+      cfg.ckpt_delta = delta;
+      cfg.key_cardinality = 100000;  // cold keys: a delta stays small
+      testutil::Harness h(testutil::cold_keyed_chain(), cfg);
+      dsps::Platform& p = h.p();
+      make_strategy(row.kind)->configure(p);
+      EXPECT_EQ(p.user_acking(), row.user_acking);
+      EXPECT_EQ(p.checkpoint_mode(), row.wiring);
+      EXPECT_EQ(p.coordinator().periodic_running(), row.periodic);
+
+      // Two waves in the session's wiring, ten seconds apart: the second
+      // has a committed base, so it is a delta iff ckpt_delta is on.
+      p.coordinator().stop_periodic();
+      p.start();
+      int committed = 0;
+      for (int wave = 0; wave < 2; ++wave) {
+        h.run_for(time::sec(wave == 0 ? 60 : 10));
+        p.coordinator().run_checkpoint(p.checkpoint_mode(), [&](bool ok) {
+          if (ok) ++committed;
+        });
+        h.run_for(time::sec(5));
+      }
+      ASSERT_EQ(committed, 2);
+      EXPECT_EQ(p.coordinator().stats().delta_blobs > 0, delta);
+    }
+  }
+}
+
 /// The paper's headline orderings, swept over (DAG × scale) cells.
 struct CompareParams {
   workloads::DagKind dag;

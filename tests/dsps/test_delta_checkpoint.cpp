@@ -10,26 +10,8 @@
 namespace rill::dsps {
 namespace {
 
+using testutil::cold_keyed_chain;
 using testutil::Harness;
-
-/// src → parse → count(keyed) → sink with a large, cold keyspace: each
-/// event touches one "key/<k>" counter, so between waves only the keys
-/// delivered in that window are dirty and deltas stay small.
-Topology cold_keyed_chain() {
-  Topology t("cold-keyed");
-  const TaskId src = t.add_source("src");
-  const TaskId parse = t.add_worker("parse");
-  TaskDef count;
-  count.name = "count";
-  count.keyed_state = true;
-  const TaskId cnt = t.add_task(std::move(count));
-  const TaskId sink = t.add_sink("sink");
-  t.add_edge(src, parse);
-  t.add_edge(parse, cnt, Grouping::Fields);
-  t.add_edge(cnt, sink);
-  t.validate();
-  return t;
-}
 
 PlatformConfig delta_cfg() {
   PlatformConfig cfg;

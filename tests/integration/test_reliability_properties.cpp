@@ -2,6 +2,8 @@
 // every (DAG × scale × strategy × seed) cell.
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 #include "test_util.hpp"
 
 namespace rill {
@@ -17,6 +19,14 @@ struct Cell {
   StrategyKind strategy;
   std::uint64_t seed;
 };
+
+// Without it gtest prints the cell as raw bytes, including the padding
+// before `seed`, and that text lands in the ctest test name.
+void PrintTo(const Cell& cell, std::ostream* os) {
+  *os << workloads::to_string(cell.dag) << ", "
+      << (cell.scale == ScaleKind::In ? "in" : "out") << ", "
+      << core::to_string(cell.strategy) << ", seed " << cell.seed;
+}
 
 std::string cell_name(const ::testing::TestParamInfo<Cell>& info) {
   return std::string(workloads::to_string(info.param.dag)) + "_" +

@@ -49,6 +49,25 @@ inline dsps::Topology mini_diamond(double rate = 8.0) {
   return t;
 }
 
+/// src → parse → count(keyed) → sink with a large, cold keyspace: each
+/// event touches one "key/<k>" counter, so between waves only the keys
+/// delivered in that window are dirty and deltas stay small.
+inline dsps::Topology cold_keyed_chain() {
+  dsps::Topology t("cold-keyed");
+  const TaskId src = t.add_source("src");
+  const TaskId parse = t.add_worker("parse");
+  dsps::TaskDef count;
+  count.name = "count";
+  count.keyed_state = true;
+  const TaskId cnt = t.add_task(std::move(count));
+  const TaskId sink = t.add_sink("sink");
+  t.add_edge(src, parse);
+  t.add_edge(parse, cnt, dsps::Grouping::Fields);
+  t.add_edge(cnt, sink);
+  t.validate();
+  return t;
+}
+
 /// An engine + platform + deployed topology, ready to start.  Keeps the
 /// scheduler and collector alive for the platform's lifetime.
 struct Harness {

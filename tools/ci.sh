@@ -51,7 +51,10 @@
 # observability layer's zero-cost-when-disabled and <5%-when-sampling
 # overhead contracts, and bench_fig9_latency --check asserts the fluid
 # strategy's whole-run p99 stays strictly below CCR's pause-bounded p99
-# under the 420 s seed-1 Grid scale-in. `--skip-bench` opts out.
+# under the 420 s seed-1 Grid scale-in. Before those, the benchmark
+# package (perfbench/) is configured into build/perfbench against src/ and
+# its rill_bench_selftest is built and run, so a src/ API change that
+# breaks the benchmark fails here. `--skip-bench` opts out.
 #
 # Usage: tools/ci.sh [--tsan] [--skip-asan] [--skip-bench] [--skip-lint]
 #                    [--regen-determinism]
@@ -235,6 +238,11 @@ done
        exit 1; }
 
 if [ "$run_bench" = 1 ]; then
+  echo "==> bench gate: perfbench package builds against src/ + self-test"
+  cmake -S perfbench -B build/perfbench
+  cmake --build build/perfbench -j "$jobs" --target rill_bench_selftest
+  ./build/perfbench/rill_bench_selftest
+
   echo "==> bench gate: checkpoint + restore shard sweeps (shards 1 and 4)"
   ( cd build/bench &&
     ./bench_redis_checkpoint --check &&

@@ -451,16 +451,46 @@ int main(int argc, char** argv) {
     std::puts(metrics::to_json(r.report).c_str());
   } else {
     const metrics::MigrationReport& rep = r.report;
-    std::printf("%s migration of %s (%s), seed %llu\n", rep.strategy.c_str(),
-                rep.dag.c_str(), rep.scale.c_str(),
-                static_cast<unsigned long long>(cfg.platform.seed));
-    std::printf("  restore        %s s\n", metrics::fmt_opt(rep.restore_sec).c_str());
-    std::printf("  drain/capture  %s s\n", metrics::fmt(rep.drain_sec, 2).c_str());
-    std::printf("  rebalance      %s s\n", metrics::fmt(rep.rebalance_sec, 2).c_str());
-    std::printf("  catchup        %s s\n", metrics::fmt_opt(rep.catchup_sec).c_str());
-    std::printf("  recovery       %s s\n", metrics::fmt_opt(rep.recovery_sec).c_str());
-    std::printf("  stabilization  %s s\n",
-                metrics::fmt_opt(rep.stabilization_sec).c_str());
+    if (cfg.autoscale.enabled) {
+      // Many migrations (or none): head the run with the controller's
+      // triggers and strategy picks.  The phase lines describe one
+      // migration, so they are left out.
+      std::string picks;
+      for (core::StrategyKind k :
+           {core::StrategyKind::DSM, core::StrategyKind::DSM_T,
+            core::StrategyKind::DCR, core::StrategyKind::CCR,
+            core::StrategyKind::FGM}) {
+        std::size_t n = 0;
+        for (const auto& ev : r.autoscale.events) n += ev.strategy == k;
+        if (n == 0) continue;
+        picks += (picks.empty() ? "" : ", ") + std::string(core::to_string(k)) +
+                 " " + std::to_string(n);
+      }
+      std::printf("Autoscaled %s, seed %llu: %zu triggers (%llu out, %llu "
+                  "in), strategy picks: %s\n",
+                  rep.dag.c_str(),
+                  static_cast<unsigned long long>(cfg.platform.seed),
+                  r.autoscale.events.size(),
+                  static_cast<unsigned long long>(r.autoscale.scale_outs),
+                  static_cast<unsigned long long>(r.autoscale.scale_ins),
+                  picks.empty() ? "none" : picks.c_str());
+    } else {
+      std::printf("%s migration of %s (%s), seed %llu\n",
+                  rep.strategy.c_str(), rep.dag.c_str(), rep.scale.c_str(),
+                  static_cast<unsigned long long>(cfg.platform.seed));
+      std::printf("  restore        %s s\n",
+                  metrics::fmt_opt(rep.restore_sec).c_str());
+      std::printf("  drain/capture  %s s\n",
+                  metrics::fmt(rep.drain_sec, 2).c_str());
+      std::printf("  rebalance      %s s\n",
+                  metrics::fmt(rep.rebalance_sec, 2).c_str());
+      std::printf("  catchup        %s s\n",
+                  metrics::fmt_opt(rep.catchup_sec).c_str());
+      std::printf("  recovery       %s s\n",
+                  metrics::fmt_opt(rep.recovery_sec).c_str());
+      std::printf("  stabilization  %s s\n",
+                  metrics::fmt_opt(rep.stabilization_sec).c_str());
+    }
     std::printf("  latency p50    %s ms (p95 %s, p99 %s)\n",
                 metrics::fmt_opt(rep.latency_p50_ms).c_str(),
                 metrics::fmt_opt(rep.latency_p95_ms).c_str(),
