@@ -8,15 +8,21 @@
 #include <cstring>
 #include <vector>
 
+#include "cluster/cluster.hpp"
 #include "common/bytes.hpp"
 #include "common/rng.hpp"
 #include "dsps/acker.hpp"
+#include "dsps/event.hpp"
+#include "dsps/platform.hpp"
 #include "dsps/state.hpp"
+#include "net/network.hpp"
 #include "obs/attribution.hpp"
 #include "obs/registry.hpp"
 #include "obs/trace.hpp"
 #include "sim/engine.hpp"
+#include "workloads/dags.hpp"
 #include "workloads/runner.hpp"
+#include "workloads/scenario.hpp"
 
 namespace {
 
@@ -73,6 +79,109 @@ void BM_EngineSlotReuse(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * 64);
 }
 BENCHMARK(BM_EngineSlotReuse);
+
+void BM_EngineScheduleRunEventCapture(benchmark::State& state) {
+  // The executor's service-timer capture — [this, ev, epoch] — is the
+  // largest hot capture; it must stay inside sim::Callback's inline buffer,
+  // so scheduling it allocates nothing.
+  std::uint64_t sink = 0;
+  std::uint64_t* target = &sink;
+  dsps::Event ev;
+  for (auto _ : state) {
+    sim::Engine engine;
+    const int n = static_cast<int>(state.range(0));
+    for (int i = 0; i < n; ++i) {
+      ev.id = static_cast<EventId>(i);
+      const std::uint64_t epoch = 1;
+      engine.schedule_detached(time::us(i), [target, ev, epoch] {
+        *target += ev.id + epoch;
+      });
+    }
+    engine.run();
+    benchmark::DoNotOptimize(sink);
+  }
+  state.SetItemsProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK(BM_EngineScheduleRunEventCapture)->Arg(1000)->Arg(10000);
+
+void BM_NetworkSend(benchmark::State& state) {
+  // One send between random VMs of a Grid-sized cluster with a delivery
+  // capture of the platform's size: fault hook off, FIFO clamp on.  The
+  // engine drains outside the timed region every 4096 sends.
+  sim::Engine engine;
+  cluster::Cluster clu(engine);
+  const std::vector<VmId> vms =
+      clu.provision_n(cluster::VmType::D2, 400, "w");
+  net::Network net(engine, clu, net::NetworkConfig{}, Rng(3));
+  Rng pick(5);
+  std::uint64_t sink = 0;
+  std::uint64_t* target = &sink;
+  dsps::Event ev;
+  std::size_t sent = 0;
+  for (auto _ : state) {
+    const VmId from = vms[pick.next() % vms.size()];
+    const VmId to = vms[pick.next() % vms.size()];
+    static_cast<void>(net.send(from, to, ev.payload_size,
+                               [target, ev] { *target += ev.key; }));
+    if (++sent % 4096 == 0) {
+      state.PauseTiming();
+      engine.run();
+      state.ResumeTiming();
+    }
+  }
+  engine.run();
+  benchmark::DoNotOptimize(sink);
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_NetworkSend);
+
+void BM_PlatformExecutorLookup(benchmark::State& state) {
+  // Platform::executor over every instance of the Grid DAG autosized for
+  // 300 ev/s (the benchmark's large workload): one lookup per routed emit.
+  sim::Engine engine;
+  dsps::PlatformConfig cfg;
+  dsps::Platform platform(engine, cfg);
+  platform.setup_infrastructure();
+  dsps::Topology topo = workloads::build_dag(workloads::DagKind::Grid, 300.0);
+  const workloads::VmPlan plan = workloads::vm_plan_for(topo);
+  const std::vector<VmId> vms = platform.cluster().provision_n(
+      cluster::VmType::D2, plan.default_d2_vms, "d2");
+  dsps::RoundRobinScheduler scheduler;
+  platform.deploy(std::move(topo), vms, scheduler);
+  const std::vector<dsps::InstanceRef> refs =
+      platform.worker_and_sink_instances();
+  std::size_t i = 0;
+  std::size_t sink = 0;
+  for (auto _ : state) {
+    sink += platform.executor(refs[i]).queue_depth();
+    if (++i == refs.size()) i = 0;
+  }
+  benchmark::DoNotOptimize(sink);
+  state.SetItemsProcessed(state.iterations());
+  state.counters["instances"] = static_cast<double>(refs.size());
+}
+BENCHMARK(BM_PlatformExecutorLookup);
+
+void BM_TaskStateUpdate(benchmark::State& state, bool delta) {
+  // The executor's per-event user logic on a keyed task: four counter
+  // updates.  Under delta checkpoints each one also records a dirty key;
+  // without them the logic writes the map directly.
+  dsps::TaskState st;
+  std::uint64_t key = 0;
+  const auto counter = [&st, delta](const std::string& k) -> std::int64_t& {
+    return delta ? st[k] : st.counters[k];
+  };
+  for (auto _ : state) {
+    counter("processed") += 1;
+    counter("sig") ^= static_cast<std::int64_t>(key);
+    counter("key/" + std::to_string(key++ % 1024)) += 1;
+    counter("v1") += 1;
+  }
+  benchmark::DoNotOptimize(st.counters.size());
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK_CAPTURE(BM_TaskStateUpdate, delta0, false);
+BENCHMARK_CAPTURE(BM_TaskStateUpdate, delta1, true);
 
 void BM_AckerAddAck(benchmark::State& state) {
   sim::Engine engine;

@@ -6,8 +6,13 @@
 
 namespace rill::cluster {
 
+void Cluster::throw_unknown(const char* what, std::uint32_t id) {
+  throw std::out_of_range(std::string("unknown ") + what + " id " +
+                          std::to_string(id));
+}
+
 VmId Cluster::provision(VmType type, std::string label) {
-  const VmId id{next_vm_++};
+  const VmId id{static_cast<std::uint32_t>(vms_.size() + 1)};
   Vm vm;
   vm.id = id;
   vm.type = type;
@@ -16,12 +21,11 @@ VmId Cluster::provision(VmType type, std::string label) {
                            : std::move(label);
   vm.provisioned_at = engine_.now();
   for (int c = 0; c < cores(type); ++c) {
-    const SlotId sid{next_slot_++};
-    slots_.emplace(sid, Slot{sid, id, std::nullopt});
+    const SlotId sid{static_cast<std::uint32_t>(slots_.size() + 1)};
+    slots_.push_back(Slot{sid, id, std::nullopt});
     vm.slots.push_back(sid);
   }
-  vm_order_.push_back(id);
-  vms_.emplace(id, std::move(vm));
+  vms_.push_back(std::move(vm));
   return id;
 }
 
@@ -36,31 +40,28 @@ std::vector<VmId> Cluster::provision_n(VmType type, int count,
 }
 
 void Cluster::release(VmId id) {
-  auto& vm = vms_.at(id);
-  if (!vm.active()) throw std::logic_error("release: VM already released");
-  for (SlotId s : vm.slots) {
-    if (slots_.at(s).occupant.has_value()) {
-      throw std::logic_error("release: VM " + vm.label + " has occupied slots");
+  Vm& v = vms_[vm_index(id)];
+  if (!v.active()) throw std::logic_error("release: VM already released");
+  for (SlotId s : v.slots) {
+    if (slot(s).occupant.has_value()) {
+      throw std::logic_error("release: VM " + v.label + " has occupied slots");
     }
   }
-  vm.released_at = engine_.now();
+  v.released_at = engine_.now();
 }
 
 void Cluster::release_vms_not_in(const std::vector<VmId>& vms,
                                  const std::vector<VmId>& keep) {
   for (VmId v : vms) {
     if (std::find(keep.begin(), keep.end(), v) == keep.end() &&
-        vms_.at(v).active()) {
+        vm(v).active()) {
       release(v);
     }
   }
 }
 
-const Vm& Cluster::vm(VmId id) const { return vms_.at(id); }
-const Slot& Cluster::slot(SlotId id) const { return slots_.at(id); }
-
 void Cluster::occupy(SlotId slot, InstanceId instance) {
-  auto& s = slots_.at(slot);
+  Slot& s = slot_mut(slot);
   if (s.occupant.has_value()) {
     throw std::logic_error("occupy: slot already taken");
   }
@@ -68,7 +69,7 @@ void Cluster::occupy(SlotId slot, InstanceId instance) {
 }
 
 void Cluster::vacate(SlotId slot) {
-  auto& s = slots_.at(slot);
+  Slot& s = slot_mut(slot);
   if (!s.occupant.has_value()) {
     throw std::logic_error("vacate: slot already empty");
   }
@@ -77,11 +78,10 @@ void Cluster::vacate(SlotId slot) {
 
 std::vector<SlotId> Cluster::vacant_slots() const {
   std::vector<SlotId> out;
-  for (VmId vid : vm_order_) {
-    const Vm& vm = vms_.at(vid);
-    if (!vm.active()) continue;
-    for (SlotId s : vm.slots) {
-      if (!slots_.at(s).occupant.has_value()) out.push_back(s);
+  for (const Vm& v : vms_) {
+    if (!v.active()) continue;
+    for (SlotId s : v.slots) {
+      if (!slot(s).occupant.has_value()) out.push_back(s);
     }
   }
   return out;
@@ -91,10 +91,10 @@ std::vector<SlotId> Cluster::vacant_slots_on(
     const std::vector<VmId>& vms) const {
   std::vector<SlotId> out;
   for (VmId vid : vms) {
-    const Vm& vm = vms_.at(vid);
-    if (!vm.active()) continue;
-    for (SlotId s : vm.slots) {
-      if (!slots_.at(s).occupant.has_value()) out.push_back(s);
+    const Vm& v = vm(vid);
+    if (!v.active()) continue;
+    for (SlotId s : v.slots) {
+      if (!slot(s).occupant.has_value()) out.push_back(s);
     }
   }
   return out;
@@ -102,20 +102,19 @@ std::vector<SlotId> Cluster::vacant_slots_on(
 
 std::vector<VmId> Cluster::active_vms() const {
   std::vector<VmId> out;
-  for (VmId vid : vm_order_) {
-    if (vms_.at(vid).active()) out.push_back(vid);
+  for (const Vm& v : vms_) {
+    if (v.active()) out.push_back(v.id);
   }
   return out;
 }
 
 double Cluster::billed_cents() const {
   double total = 0.0;
-  for (VmId vid : vm_order_) {
-    const Vm& vm = vms_.at(vid);
-    const SimTime end = vm.released_at.value_or(engine_.now());
+  for (const Vm& v : vms_) {
+    const SimTime end = v.released_at.value_or(engine_.now());
     const double minutes =
-        std::ceil(time::to_sec(static_cast<SimDuration>(end - vm.provisioned_at)) / 60.0);
-    total += minutes * cents_per_hour(vm.type) / 60.0;
+        std::ceil(time::to_sec(static_cast<SimDuration>(end - v.provisioned_at)) / 60.0);
+    total += minutes * cents_per_hour(v.type) / 60.0;
   }
   return total;
 }
@@ -124,11 +123,11 @@ double Cluster::utilisation(const std::vector<VmId>& vms) const {
   std::size_t total = 0;
   std::size_t used = 0;
   for (VmId vid : vms) {
-    const Vm& vm = vms_.at(vid);
-    total += vm.slots.size();
+    const Vm& v = vm(vid);
+    total += v.slots.size();
     used += static_cast<std::size_t>(
-        std::count_if(vm.slots.begin(), vm.slots.end(), [&](SlotId s) {
-          return slots_.at(s).occupant.has_value();
+        std::count_if(v.slots.begin(), v.slots.end(), [&](SlotId s) {
+          return slot(s).occupant.has_value();
         }));
   }
   return total == 0 ? 0.0 : static_cast<double>(used) / static_cast<double>(total);

@@ -7,7 +7,6 @@
 #pragma once
 
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "cluster/vm.hpp"
@@ -35,8 +34,11 @@ class Cluster {
   void release_vms_not_in(const std::vector<VmId>& vms,
                           const std::vector<VmId>& keep);
 
-  [[nodiscard]] const Vm& vm(VmId id) const;
-  [[nodiscard]] const Slot& slot(SlotId id) const;
+  /// Throw std::out_of_range for an id that was never provisioned.
+  [[nodiscard]] const Vm& vm(VmId id) const { return vms_[vm_index(id)]; }
+  [[nodiscard]] const Slot& slot(SlotId id) const {
+    return slots_[slot_index(id)];
+  }
 
   /// Which VM hosts a slot — the network model uses this to decide
   /// intra- vs inter-VM latency.
@@ -68,12 +70,26 @@ class Cluster {
   [[nodiscard]] double utilisation(const std::vector<VmId>& vms) const;
 
  private:
+  /// Position of `id` in vms_ / slots_; throws for id 0 or past the end.
+  [[nodiscard]] std::size_t vm_index(VmId id) const {
+    if (id.value == 0 || id.value > vms_.size()) throw_unknown("VM", id.value);
+    return id.value - 1;
+  }
+  [[nodiscard]] std::size_t slot_index(SlotId id) const {
+    if (id.value == 0 || id.value > slots_.size()) {
+      throw_unknown("slot", id.value);
+    }
+    return id.value - 1;
+  }
+  [[noreturn]] static void throw_unknown(const char* what, std::uint32_t id);
+  Slot& slot_mut(SlotId id) { return slots_[slot_index(id)]; }
+
   sim::Engine& engine_;
-  std::unordered_map<VmId, Vm> vms_;
-  std::unordered_map<SlotId, Slot> slots_;
-  std::vector<VmId> vm_order_;  // creation order for determinism
-  std::uint32_t next_vm_{1};
-  std::uint32_t next_slot_{1};
+  /// Dense tables indexed by id - 1: VM and slot ids are handed out from 1
+  /// in provisioning order and never reused, so vms_ is also the
+  /// deterministic creation order.
+  std::vector<Vm> vms_;
+  std::vector<Slot> slots_;
 };
 
 }  // namespace rill::cluster

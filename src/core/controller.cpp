@@ -60,11 +60,12 @@ void MigrationController::begin(PendingRequest req) {
   } else {
     active_ = strategy_;
   }
-  if (req.kind.has_value()) {
-    // Explicit-strategy requests re-assert the session knobs: an earlier
-    // request of a different kind may have flipped acking / checkpoint
-    // wiring / periodic waves.  (The bound-strategy path keeps the
-    // historical contract — the caller configures once at startup.)
+  if (req.kind.has_value() || !session_matches(active_->kind())) {
+    // Re-assert the session knobs whenever they may be stale: an earlier
+    // request of a different kind, or a DSM fallback, may have flipped
+    // acking / checkpoint wiring / periodic waves.  A bound-strategy
+    // request on an unchanged session keeps the caller's startup
+    // configuration untouched.
     active_->configure(platform_);
   }
   plan_ = std::move(req.plan);
@@ -72,6 +73,13 @@ void MigrationController::begin(PendingRequest req) {
       platform_, "request",
       {obs::arg("strategy", std::string(to_string(active_->kind())))});
   start_attempt(std::move(req.on_done));
+}
+
+bool MigrationController::session_matches(StrategyKind kind) const {
+  const SessionProfile p = session_profile(kind);
+  return platform_.user_acking() == p.user_acking &&
+         platform_.checkpoint_mode() == p.wiring &&
+         platform_.coordinator().periodic_running() == p.periodic_waves;
 }
 
 void MigrationController::start_attempt(std::function<void(bool)> on_done) {

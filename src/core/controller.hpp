@@ -111,6 +111,8 @@ class RILL_PINNED MigrationController {
   };
 
   void begin(PendingRequest req);
+  /// True when the platform already runs `kind`'s session profile.
+  [[nodiscard]] bool session_matches(StrategyKind kind) const;
   void enqueue_or_begin(PendingRequest req);
   void start_attempt(std::function<void(bool)> on_done);
   void on_attempt_done(bool ok, std::function<void(bool)> on_done);

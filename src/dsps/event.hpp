@@ -32,6 +32,11 @@ enum class ControlKind : std::uint8_t { None, Prepare, Commit, Rollback, Init };
 }
 
 /// One message flowing on a dataflow edge (or the broadcast channel).
+///
+/// Fields are ordered by size so the struct packs into 72 bytes with no
+/// padding holes: every hot callback captures one by value.  The wire
+/// format does not follow this order — serialize_event writes field by
+/// field.
 struct Event {
   /// Unique id of this event; participates in the acker's XOR hash.
   EventId id{0};
@@ -42,25 +47,25 @@ struct Event {
   /// replay re-registers under a fresh `root` (new acker tree) but keeps
   /// `origin`, so delivery guarantees can be audited per original event.
   RootId origin{0};
-  /// Task that produced this event (source task for root events).
-  TaskId producer{};
   /// Simulated instant the causal ROOT was generated at the external
   /// stream.  Sink latency = arrival - born_at, so time spent paused or
   /// queued during migration is (correctly) charged to latency.
   SimTime born_at{0};
   /// Instant this particular event was emitted.
   SimTime emitted_at{0};
-  /// Control kind; None for user tuples.
-  ControlKind control{ControlKind::None};
   /// Checkpoint wave sequence number (control events only).
   std::uint64_t checkpoint_id{0};
-  /// True if this event descends from a replayed root (DSM recovery).
-  bool replayed{false};
   /// Partitioning key (e.g. a sensor/meter id).  Assigned at the source,
   /// inherited by children; fields-grouped edges route by hash(key).
   std::uint64_t key{0};
+  /// Task that produced this event (source task for root events).
+  TaskId producer{};
   /// Approximate serialised size, for the network/store cost models.
   std::uint32_t payload_size{64};
+  /// Control kind; None for user tuples.
+  ControlKind control{ControlKind::None};
+  /// True if this event descends from a replayed root (DSM recovery).
+  bool replayed{false};
   /// Latency-attribution taint: this event descends from a sampled root
   /// and every lifecycle edge reports a stamp to the attributor.  Only
   /// ever true when an attributor is attached.  Deliberately NOT
@@ -74,5 +79,7 @@ struct Event {
     return control != ControlKind::None;
   }
 };
+
+static_assert(sizeof(Event) == 72, "Event must stay packed for the hot captures");
 
 }  // namespace rill::dsps

@@ -34,6 +34,28 @@ void Executor::trace_end(std::uint64_t span) {
   if (auto* tr = platform_.tracer()) tr->end(span);
 }
 
+void Executor::ack_control(const Event& ev, std::uint64_t span, bool forward) {
+  if (forward) platform_.forward_control(*this, ev);
+  platform_.acker().ack(ev.root, ev.id);
+  trace_end(span);
+}
+
+template <typename Held>
+void Executor::release_to_queue_head(Held& held, bool migration) {
+  const SimTime now = platform_.engine().now();
+  for (auto it = held.rbegin(); it != held.rend(); ++it) {
+    if (auto* at = attributor_for(*it)) {
+      if (migration) {
+        at->on_migration_release(it->id, now);
+      } else {
+        at->on_release(it->id, now);
+      }
+    }
+    queue_.push_front(std::move(*it));
+  }
+  held.clear();
+}
+
 void Executor::bind_metrics() {
   auto* reg = platform_.metrics();
   if (reg == nullptr || m_processed_ != nullptr) return;
@@ -321,13 +343,19 @@ void Executor::pump() {
 }
 
 void Executor::apply_user_logic(const Event& ev) {
-  state_["processed"] += 1;
-  state_["sig"] ^= static_cast<std::int64_t>(mix64(ev.id));
-  if (ev.replayed) state_["replayed_seen"] += 1;
+  // Dirty keys only feed delta checkpoints: with ckpt_delta off nothing
+  // reads them, so the logic writes the map without the bookkeeping.
+  const bool track = platform_.config().ckpt_delta;
+  const auto counter = [this, track](const std::string& k) -> std::int64_t& {
+    return track ? state_[k] : state_.counters[k];
+  };
+  counter("processed") += 1;
+  counter("sig") ^= static_cast<std::int64_t>(mix64(ev.id));
+  if (ev.replayed) counter("replayed_seen") += 1;
   if (platform_.topology().task(ref_.task).keyed_state) {
-    state_["key/" + std::to_string(ev.key)] += 1;
+    counter("key/" + std::to_string(ev.key)) += 1;
   }
-  state_["v" + std::to_string(logic_version_)] += 1;
+  counter("v" + std::to_string(logic_version_)) += 1;
 }
 
 void Executor::finish_user_event(const Event& ev) {
@@ -405,21 +433,17 @@ void Executor::on_prepare(const Event& ev, std::uint64_t span) {
     snapshot_for_prepare(ev.checkpoint_id);
     capturing_ = true;
     committed_this_wave_ = false;
-    platform_.acker().ack(ev.root, ev.id);
-    trace_end(span);
+    ack_control(ev, span, false);
     return;
   }
   // Sequential wave: PREPARE is a rearguard.  Align across all upstream
   // instances; forward only once aligned.
   if (!aligned(ev, platform_.control_fanin(ref_.task))) {
-    platform_.acker().ack(ev.root, ev.id);
-    trace_end(span);
+    ack_control(ev, span, false);
     return;
   }
   snapshot_for_prepare(ev.checkpoint_id);
-  platform_.forward_control(*this, ev);
-  platform_.acker().ack(ev.root, ev.id);
-  trace_end(span);
+  ack_control(ev, span, true);
 }
 
 void Executor::reset_delta_chain() {
@@ -571,17 +595,14 @@ void Executor::persist_commit_blob(const Event& ev, std::uint64_t span) {
           return;
         }
         committed_this_wave_ = true;
-        platform_.forward_control(*this, ev);
-        platform_.acker().ack(ev.root, ev.id);
-        trace_end(span);
+        ack_control(ev, span, true);
       });
 }
 
 void Executor::on_commit(const Event& ev, std::uint64_t span) {
   // COMMIT always sweeps the dataflow wiring, in both modes.
   if (!aligned(ev, platform_.control_fanin(ref_.task))) {
-    platform_.acker().ack(ev.root, ev.id);
-    trace_end(span);
+    ack_control(ev, span, false);
     return;
   }
   const TaskDef& def = platform_.topology().task(ref_.task);
@@ -590,9 +611,7 @@ void Executor::on_commit(const Event& ev, std::uint64_t span) {
 
   if (!def.stateful && (!capture_mode || pending_capture_.empty())) {
     committed_this_wave_ = true;
-    platform_.forward_control(*this, ev);
-    platform_.acker().ack(ev.root, ev.id);
-    trace_end(span);
+    ack_control(ev, span, true);
     return;
   }
 
@@ -607,9 +626,7 @@ void Executor::on_commit(const Event& ev, std::uint64_t span) {
     // Capture mode re-persists instead when the capture list grew past the
     // durable copy — skipping would strand those events in memory.
     committed_this_wave_ = true;
-    platform_.forward_control(*this, ev);
-    platform_.acker().ack(ev.root, ev.id);
-    trace_end(span);
+    ack_control(ev, span, true);
     return;
   }
 
@@ -633,16 +650,9 @@ void Executor::on_rollback(const Event& ev, std::uint64_t span) {
     // Re-inject captured events at the head of the queue so processing
     // resumes exactly where capture froze it.
     capturing_ = false;
-    for (auto it = pending_capture_.rbegin(); it != pending_capture_.rend();
-         ++it) {
-      if (auto* at = attributor_for(*it))
-        at->on_release(it->id, platform_.engine().now());
-      queue_.push_front(std::move(*it));
-    }
-    pending_capture_.clear();
+    release_to_queue_head(pending_capture_);
   }
-  platform_.acker().ack(ev.root, ev.id);
-  trace_end(span);
+  ack_control(ev, span, false);
 }
 
 void Executor::on_init(const Event& ev, std::uint64_t span) {
@@ -653,8 +663,7 @@ void Executor::on_init(const Event& ev, std::uint64_t span) {
     // Another copy of a wave root we already handled (multi-input tasks in
     // sequential wiring).  Just ack.
     ++stats_.duplicate_inits;
-    platform_.acker().ack(ev.root, ev.id);
-    trace_end(span);
+    ack_control(ev, span, false);
     return;
   }
   seen_init_roots_.insert(ev.root);
@@ -678,25 +687,15 @@ void Executor::on_init(const Event& ev, std::uint64_t span) {
     capturing_ = false;
     committed_this_wave_ = false;
     ++stats_.init_restores;
-    std::vector<Event> pend = std::move(pending_capture_);
-    pending_capture_.clear();
-    for (auto it = pend.rbegin(); it != pend.rend(); ++it) {
-      if (auto* at = attributor_for(*it))
-        at->on_release(it->id, platform_.engine().now());
-      queue_.push_front(std::move(*it));
-    }
-    if (!capture_mode) platform_.forward_control(*this, ev);
-    platform_.acker().ack(ev.root, ev.id);
-    trace_end(span);
+    release_to_queue_head(pending_capture_);
+    ack_control(ev, span, !capture_mode);
     return;
   }
 
   // Already initialised (or nothing to restore): forward so downstream
   // stragglers still receive this wave, then ack.
   ++stats_.duplicate_inits;
-  if (!capture_mode) platform_.forward_control(*this, ev);
-  platform_.acker().ack(ev.root, ev.id);
-  trace_end(span);
+  ack_control(ev, span, !capture_mode);
 }
 
 void Executor::continue_init_fetch(std::shared_ptr<InitFetch> fetch,
@@ -772,11 +771,8 @@ void Executor::continue_init_fetch(std::shared_ptr<InitFetch> fetch,
           // answer).  Re-applying the blob would re-inject its pending
           // events a second time — just ack this copy.
           ++stats_.duplicate_inits;
-          if (platform_.checkpoint_mode() == CheckpointMode::Wave) {
-            platform_.forward_control(*this, ev);
-          }
-          platform_.acker().ack(ev.root, ev.id);
-          trace_end(span);
+          ack_control(ev, span,
+                      platform_.checkpoint_mode() == CheckpointMode::Wave);
           return;
         }
         consume(raw);
@@ -798,11 +794,8 @@ void Executor::finish_init_restore(InitFetch& fetch) {
     restored.pending = std::move(fetch.chain.front().pending);
   }
   restore_from_blob(restored);
-  if (platform_.checkpoint_mode() == CheckpointMode::Wave) {
-    platform_.forward_control(*this, ev);
-  }
-  platform_.acker().ack(ev.root, ev.id);
-  trace_end(fetch.span);
+  ack_control(ev, fetch.span,
+              platform_.checkpoint_mode() == CheckpointMode::Wave);
 }
 
 void Executor::restore_from_blob(const CheckpointBlob& blob) {
@@ -827,13 +820,7 @@ void Executor::restore_from_blob(const CheckpointBlob& blob) {
   // logically ahead), then any tuples pended while awaiting init.  (Events
   // from blob.pending never carry the sampled taint — it is not
   // serialized — so only the pended tuples get release stamps.)
-  for (auto it = pend_until_init_.rbegin(); it != pend_until_init_.rend();
-       ++it) {
-    if (auto* at = attributor_for(*it))
-      at->on_release(it->id, platform_.engine().now());
-    queue_.push_front(std::move(*it));
-  }
-  pend_until_init_.clear();
+  release_to_queue_head(pend_until_init_);
   for (auto it = blob.pending.rbegin(); it != blob.pending.rend(); ++it) {
     queue_.push_front(*it);
   }
@@ -883,12 +870,7 @@ SlotId Executor::delivery_slot(const Event& ev) const {
 }
 
 void Executor::fgm_flush_buffer() {
-  for (auto it = fgm_buffer_.rbegin(); it != fgm_buffer_.rend(); ++it) {
-    if (auto* at = attributor_for(*it))
-      at->on_migration_release(it->id, platform_.engine().now());
-    queue_.push_front(std::move(*it));
-  }
-  fgm_buffer_.clear();
+  release_to_queue_head(fgm_buffer_, /*migration=*/true);
 }
 
 void Executor::fgm_abort_batch(const TaskState& part) {

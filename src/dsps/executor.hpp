@@ -245,6 +245,14 @@ class RILL_PINNED Executor {
   void finish_init_restore(InitFetch& fetch);
 
   void trace_end(std::uint64_t span);
+  /// The common tail of every control handler: forward the copy downstream
+  /// (when `forward`), ack it to the acker and close its span.
+  void ack_control(const Event& ev, std::uint64_t span, bool forward);
+  /// Moves the held events to the head of the input queue in their order
+  /// and stamps each sampled one's release (to the `migration` cause for
+  /// the FGM divert buffer).  Leaves `held` empty.
+  template <typename Held>
+  void release_to_queue_head(Held& held, bool migration = false);
   /// Lazily resolve this instance's registry instruments (first processed
   /// event after a registry is attached); raw pointers keep the hot path
   /// allocation-free.

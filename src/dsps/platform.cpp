@@ -121,7 +121,39 @@ void Platform::deploy(Topology topology, std::vector<VmId> worker_vms,
     ex->set_ready(false);
     executors_.emplace(ref, std::move(ex));
   }
+  build_routing_tables();
   deployed_ = true;
+}
+
+void Platform::build_routing_tables() {
+  const std::size_t ntasks = topology_.tasks().size();
+  task_first_.assign(ntasks + 1, 0);
+  for (const auto& [ref, ex] : executors_) ++task_first_[ref.task.value + 1];
+  for (std::size_t t = 0; t < ntasks; ++t) task_first_[t + 1] += task_first_[t];
+  executor_index_.assign(executors_.size(), nullptr);
+  for (const auto& [ref, ex] : executors_) {
+    executor_index_[task_first_[ref.task.value] +
+                    static_cast<std::size_t>(ref.replica)] = ex.get();
+  }
+
+  out_edges_.clear();
+  for (std::size_t t = 0; t < ntasks; ++t) {
+    out_edges_.push_back(
+        topology_.out_edges(TaskId{static_cast<std::uint32_t>(t)}));
+  }
+  cursor_base_.assign(next_instance_, 0);
+  std::size_t ncursors = 0;
+  const auto reserve = [&](InstanceId id, TaskId task) {
+    cursor_base_[id.value] = ncursors;
+    ncursors += out_edges_[task.value].size();
+  };
+  for (const auto& [task, spout] : spouts_) reserve(spout->id(), task);
+  for (const auto& [ref, ex] : executors_) reserve(ex->id(), ref.task);
+  edge_cursors_.assign(ncursors, EdgeCursor{});
+}
+
+void Platform::throw_unknown_instance() {
+  throw std::logic_error("unknown instance");
 }
 
 void Platform::set_tracer(obs::Tracer* tracer) {
@@ -198,18 +230,6 @@ void Platform::stop() {
 
 void Platform::set_user_acking(bool on) { user_acking_ = on; }
 
-Executor& Platform::executor(InstanceRef ref) {
-  auto it = executors_.find(ref);
-  if (it == executors_.end()) throw std::logic_error("unknown instance");
-  return *it->second;
-}
-
-const Executor& Platform::executor(InstanceRef ref) const {
-  auto it = executors_.find(ref);
-  if (it == executors_.end()) throw std::logic_error("unknown instance");
-  return *it->second;
-}
-
 Spout& Platform::spout(TaskId source_task) {
   auto it = spouts_.find(source_task);
   if (it == spouts_.end()) throw std::logic_error("unknown source task");
@@ -267,17 +287,7 @@ EventId Platform::fresh_event_id() noexcept {
   return splitmix64_once(++id_counter_ ^ (config_.seed << 1));
 }
 
-int Platform::shuffle_replica(InstanceId from, EdgeId edge, int parallelism) {
-  if (parallelism == 1) return 0;
-  const std::uint64_t key =
-      (static_cast<std::uint64_t>(from.value) << 32) | edge.value;
-  int& counter = shuffle_counters_[key];
-  const int replica = counter % parallelism;
-  ++counter;
-  return replica;
-}
-
-int Platform::route_replica(InstanceId from, const EdgeDef& edge,
+int Platform::route_replica(EdgeCursor& cursor, const EdgeDef& edge,
                             const Event& ev, int parallelism) {
   if (parallelism == 1) return 0;
   if (edge.grouping == Grouping::Fields) {
@@ -286,25 +296,24 @@ int Platform::route_replica(InstanceId from, const EdgeDef& edge,
     return static_cast<int>(splitmix64_once(ev.key) %
                             static_cast<std::uint64_t>(parallelism));
   }
-  return shuffle_replica(from, edge.id, parallelism);
+  const int replica = cursor.shuffle % parallelism;
+  ++cursor.shuffle;
+  return replica;
 }
 
 int Platform::emit_user_children(Executor& from, const Event& parent) {
   const TaskDef& def = topology_.task(from.task());
+  const std::vector<EdgeId>& out = out_edges_[from.task().value];
+  EdgeCursor* cursors = cursors_of(from.id());
   int emitted = 0;
-  for (EdgeId eid : topology_.out_edges(from.task())) {
-    const EdgeDef& e = topology_.edge(eid);
+  for (std::size_t i = 0; i < out.size(); ++i) {
+    const EdgeDef& e = topology_.edge(out[i]);
+    EdgeCursor& cursor = cursors[i];
     // Fractional selectivity accumulates per (instance, edge) so e.g.
     // 0.5 emits every other event, deterministically.
-    const std::uint64_t acc_key =
-        (static_cast<std::uint64_t>(from.id().value) << 32) |
-        (0x80000000u | eid.value);
-    // Reuse shuffle_counters_ storage for the integer part bookkeeping is
-    // too clever; keep a dedicated accumulator map.
-    double& acc = selectivity_acc_[acc_key];
-    acc += def.selectivity;
-    int count = static_cast<int>(acc);
-    acc -= count;
+    cursor.selectivity += def.selectivity;
+    const int count = static_cast<int>(cursor.selectivity);
+    cursor.selectivity -= count;
 
     const TaskDef& dst_def = topology_.task(e.to);
     for (int k = 0; k < count; ++k) {
@@ -321,7 +330,7 @@ int Platform::emit_user_children(Executor& from, const Event& parent) {
       child.sampled = parent.sampled;
 
       const int replica =
-          route_replica(from.id(), e, child, dst_def.parallelism);
+          route_replica(cursor, e, child, dst_def.parallelism);
       Executor& dst = executor(InstanceRef{e.to, replica});
 
       if (user_acking_) acker_->add(child.root, child.id);
@@ -335,7 +344,7 @@ int Platform::emit_user_children(Executor& from, const Event& parent) {
       // tuples whose key range already moved go to the shadow slot's VM.
       const net::SendOutcome sent = network_->send(
           cluster_.vm_of(from.slot()), cluster_.vm_of(dst.delivery_slot(child)),
-          // lint: lifetime-ok(dst is a platform-owned Executor; the map never erases)
+          // lint: lifetime-ok(dst is owned by executors_, filled once at deploy and destroyed only with the platform)
           child.payload_size, [&dst, child] { dst.enqueue(child); });
       if (child.sampled && attributor_ != nullptr) {
         if (sent.dropped)
@@ -352,15 +361,18 @@ int Platform::emit_user_children(Executor& from, const Event& parent) {
 void Platform::emit_from_source(Spout& spout, const Event& root_copy_template,
                                 bool replay) {
   listener().on_source_emit(root_copy_template, replay);
-  for (EdgeId eid : topology_.out_edges(spout.task())) {
-    const EdgeDef& e = topology_.edge(eid);
+  const std::vector<EdgeId>& out = out_edges_[spout.task().value];
+  EdgeCursor* cursors = cursors_of(spout.id());
+  for (std::size_t i = 0; i < out.size(); ++i) {
+    const EdgeDef& e = topology_.edge(out[i]);
     const TaskDef& dst_def = topology_.task(e.to);
 
     Event copy = root_copy_template;
     copy.id = fresh_event_id();
     copy.emitted_at = engine_.now();
 
-    const int replica = route_replica(spout.id(), e, copy, dst_def.parallelism);
+    const int replica =
+        route_replica(cursors[i], e, copy, dst_def.parallelism);
     Executor& dst = executor(InstanceRef{e.to, replica});
 
     if (user_acking_) acker_->add(copy.root, copy.id);
@@ -373,7 +385,7 @@ void Platform::emit_from_source(Spout& spout, const Event& root_copy_template,
                                 engine_.now());
     const net::SendOutcome sent = network_->send(
         cluster_.vm_of(spout.slot()), cluster_.vm_of(dst.delivery_slot(copy)),
-        // lint: lifetime-ok(dst is a platform-owned Executor; the map never erases)
+        // lint: lifetime-ok(dst is owned by executors_, filled once at deploy and destroyed only with the platform)
         copy.payload_size, [&dst, copy] { dst.enqueue(copy); });
     if (copy.sampled && attributor_ != nullptr) {
       if (sent.dropped)
@@ -385,7 +397,7 @@ void Platform::emit_from_source(Spout& spout, const Event& root_copy_template,
 }
 
 void Platform::forward_control(Executor& from, const Event& ev) {
-  for (EdgeId eid : topology_.out_edges(from.task())) {
+  for (EdgeId eid : out_edges_[from.task().value]) {
     const EdgeDef& e = topology_.edge(eid);
     const TaskDef& dst_def = topology_.task(e.to);
     for (int r = 0; r < dst_def.parallelism; ++r) {
@@ -396,7 +408,7 @@ void Platform::forward_control(Executor& from, const Event& ev) {
 
       Executor& dst = executor(InstanceRef{e.to, r});
       network_->send(cluster_.vm_of(from.slot()), cluster_.vm_of(dst.slot()),
-                     // lint: lifetime-ok(dst is a platform-owned Executor)
+                     // lint: lifetime-ok(dst is owned by executors_, filled once at deploy and destroyed only with the platform)
                      copy.payload_size, [&dst, copy] { dst.enqueue(copy); },
                      net::MsgClass::Control);
     }
@@ -406,7 +418,7 @@ void Platform::forward_control(Executor& from, const Event& ev) {
 void Platform::send_control_from_coordinator(InstanceRef dst_ref, Event ev) {
   Executor& dst = executor(dst_ref);
   network_->send(io_vm_, cluster_.vm_of(dst.slot()), ev.payload_size,
-                 // lint: lifetime-ok(dst is a platform-owned Executor)
+                 // lint: lifetime-ok(dst is owned by executors_, filled once at deploy and destroyed only with the platform)
                  [&dst, ev] { dst.enqueue(ev); }, net::MsgClass::Control);
 }
 

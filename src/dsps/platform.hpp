@@ -16,7 +16,6 @@
 #include <memory>
 #include <optional>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "cluster/cluster.hpp"
@@ -155,8 +154,14 @@ class RILL_PINNED Platform {
   }
 
   // ---- dataflow access ----
-  [[nodiscard]] Executor& executor(InstanceRef ref);
-  [[nodiscard]] const Executor& executor(InstanceRef ref) const;
+  /// Throw std::logic_error for a task with no executors (unknown or a
+  /// source) and for a replica outside [0, parallelism).
+  [[nodiscard]] Executor& executor(InstanceRef ref) {
+    return *executor_index_[executor_slot(ref)];
+  }
+  [[nodiscard]] const Executor& executor(InstanceRef ref) const {
+    return *executor_index_[executor_slot(ref)];
+  }
   [[nodiscard]] Spout& spout(TaskId source_task);
   [[nodiscard]] std::vector<Spout*> spouts();
   /// All worker + sink instance refs in topology order.
@@ -214,11 +219,36 @@ class RILL_PINNED Platform {
  private:
   friend class Rebalancer;
 
-  /// Choose a destination replica for a user event on `edge` (shuffle).
-  int shuffle_replica(InstanceId from, EdgeId edge, int parallelism);
-  /// Grouping-aware replica choice: Fields routes by hash(event key).
-  int route_replica(InstanceId from, const EdgeDef& edge, const Event& ev,
-                    int parallelism);
+  /// Routing bookkeeping of one (sender instance, out-edge) pair.
+  struct EdgeCursor {
+    /// Shuffle-grouping round-robin counter.
+    int shuffle{0};
+    /// Fractional-selectivity accumulator: 0.5 emits every other event.
+    double selectivity{0.0};
+  };
+
+  /// Position of `ref` in executor_index_; throws for an unknown instance.
+  [[nodiscard]] std::size_t executor_slot(InstanceRef ref) const {
+    const std::size_t t = ref.task.value;
+    if (t + 1 >= task_first_.size() || ref.replica < 0 ||
+        static_cast<std::size_t>(ref.replica) >=
+            task_first_[t + 1] - task_first_[t]) {
+      throw_unknown_instance();
+    }
+    return task_first_[t] + static_cast<std::size_t>(ref.replica);
+  }
+  [[noreturn]] static void throw_unknown_instance();
+  /// Builds executor_index_, out_edges_ and the edge cursors once every
+  /// instance of the deployed topology exists.
+  void build_routing_tables();
+  /// The cursors of `sender`'s out-edges, in out_edges_ order.
+  [[nodiscard]] EdgeCursor* cursors_of(InstanceId sender) noexcept {
+    return &edge_cursors_[cursor_base_[sender.value]];
+  }
+  /// Grouping-aware replica choice: Fields routes by hash(event key),
+  /// Shuffle round-robins on the sender's cursor for this edge.
+  static int route_replica(EdgeCursor& cursor, const EdgeDef& edge,
+                           const Event& ev, int parallelism);
 
   sim::Engine& engine_;
   PlatformConfig config_;
@@ -242,9 +272,24 @@ class RILL_PINNED Platform {
   std::vector<VmId> store_vms_;
   std::vector<VmId> worker_vms_;
 
+  /// Owns the executors and iterates them in (task, replica) order; the
+  /// hot path looks them up through executor_index_ instead.
   std::map<InstanceRef, std::unique_ptr<Executor>> executors_;
   std::map<TaskId, std::unique_ptr<Spout>> spouts_;
   std::uint32_t next_instance_{1};
+
+  // Dense routing tables, built once at deploy (the topology and the set
+  // of instances never change afterwards).
+  /// Executor of (task, replica) at task_first_[task] + replica; a task
+  /// owns [task_first_[task], task_first_[task + 1]) (empty for sources).
+  std::vector<Executor*> executor_index_;
+  std::vector<std::size_t> task_first_;
+  /// Out-edges per TaskId, in topology order.
+  std::vector<std::vector<EdgeId>> out_edges_;
+  /// Per-sender edge cursors: instance `i` owns out_edges_[its task].size()
+  /// cursors starting at cursor_base_[i] (indexed by InstanceId value).
+  std::vector<EdgeCursor> edge_cursors_;
+  std::vector<std::size_t> cursor_base_;
 
   bool user_acking_{false};
   CheckpointMode checkpoint_mode_{CheckpointMode::Wave};
@@ -261,11 +306,6 @@ class RILL_PINNED Platform {
   /// nothing extra and stay byte-identical.
   std::unique_ptr<sim::PeriodicTimer> trace_sampler_;
   void sample_depths();
-
-  /// Shuffle-grouping round-robin counters per (sender instance, edge).
-  std::unordered_map<std::uint64_t, int> shuffle_counters_;
-  /// Fractional-selectivity accumulators per (sender instance, edge).
-  std::unordered_map<std::uint64_t, double> selectivity_acc_;
 
   PlatformStats stats_;
 };

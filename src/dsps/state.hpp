@@ -34,7 +34,8 @@ struct TaskState {
 
   /// Mutable access marks the key dirty (and revives it if it was deleted).
   /// Direct mutation through `counters` bypasses dirty tracking and must
-  /// only be used by code that never checkpoints incrementally (tests).
+  /// only be used by code that never checkpoints incrementally: tests, and
+  /// the executor's user logic while `ckpt_delta` is off.
   std::int64_t& operator[](const std::string& key) {
     dirty_.insert(key);
     deleted_.erase(key);

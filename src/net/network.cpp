@@ -5,16 +5,19 @@
 
 namespace rill::net {
 
-namespace {
-
-std::uint64_t pair_key(VmId from, VmId to) noexcept {
-  return (static_cast<std::uint64_t>(from.value) << 32) | to.value;
-}
-
-}  // namespace
-
 SimTime Network::fifo_arrival(VmId from, VmId to, SimTime proposed) {
-  auto& last = last_arrival_[pair_key(from, to)];
+  // Both dimensions are sized to every VM provisioned so far, so each
+  // grows at most once per provisioning round; existing channels keep
+  // their history.
+  const std::size_t vms = cluster_.vm_count();
+  if (from.value >= last_arrival_.size()) {
+    last_arrival_.resize(std::max<std::size_t>(from.value, vms) + 1);
+  }
+  std::vector<SimTime>& row = last_arrival_[from.value];
+  if (to.value >= row.size()) {
+    row.resize(std::max<std::size_t>(to.value, vms) + 1, 0);
+  }
+  SimTime& last = row[to.value];
   const SimTime arrival = std::max(proposed, last);
   last = arrival;
   return arrival;

@@ -9,14 +9,14 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
-#include <unordered_map>
+#include <vector>
 
 #include "cluster/cluster.hpp"
 #include "common/ids.hpp"
 #include "common/lifetime.hpp"
 #include "common/rng.hpp"
 #include "common/time.hpp"
+#include "sim/callback.hpp"
 #include "sim/engine.hpp"
 
 namespace rill::net {
@@ -60,7 +60,7 @@ struct NetworkStats {
 /// delivery is a callback; the network itself is payload-agnostic.
 class RILL_PINNED Network {
  public:
-  using Deliver = std::function<void()>;
+  using Deliver = sim::Callback;
 
   /// Fault-injection hook (implemented by chaos::ChaosInjector).  Consulted
   /// per message: a dropped message is simply never delivered — the layers
@@ -103,8 +103,12 @@ class RILL_PINNED Network {
   Rng rng_;
   NetworkStats stats_;
   FaultHook* fault_hook_{nullptr};
-  /// Last delivery time per directed VM pair, for FIFO enforcement.
-  std::unordered_map<std::uint64_t, SimTime> last_arrival_;
+  /// Last delivery time per directed VM pair, for FIFO enforcement:
+  /// last_arrival_[from][to], indexed by VmId value (ids are dense from 1).
+  /// Each sender's row is grown on its own when a VM provisioned after
+  /// traffic started first appears, so growth never copies the whole
+  /// table.
+  std::vector<std::vector<SimTime>> last_arrival_;
 };
 
 }  // namespace rill::net

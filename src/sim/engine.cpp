@@ -13,15 +13,8 @@ TimerId Engine::schedule(SimDuration delay, Callback cb) {
 TimerId Engine::schedule_at(SimTime when, Callback cb) {
   if (when < now_) when = now_;
   const std::uint64_t seq = next_seq_++;
-  std::uint32_t index;
-  if (!free_slots_.empty()) {
-    index = free_slots_.back();
-    free_slots_.pop_back();
-  } else {
-    index = static_cast<std::uint32_t>(slots_.size());
-    slots_.emplace_back();
-  }
-  Slot& slot = slots_[index];
+  const std::uint32_t index = acquire_slot();
+  Slot& slot = slot_at(index);
   slot.cb = std::move(cb);
   slot.active = true;
   ++active_count_;
@@ -29,24 +22,33 @@ TimerId Engine::schedule_at(SimTime when, Callback cb) {
   return TimerId{(static_cast<std::uint64_t>(slot.gen) << 32) | index};
 }
 
-Engine::Callback Engine::release(std::uint32_t index) {
-  Slot& slot = slots_[index];
-  Callback cb = std::move(slot.cb);
-  slot.cb = nullptr;
+std::uint32_t Engine::acquire_slot() {
+  if (!free_slots_.empty()) {
+    const std::uint32_t index = free_slots_.back();
+    free_slots_.pop_back();
+    return index;
+  }
+  if ((slot_count_ & (kChunkSize - 1)) == 0) {
+    chunks_.push_back(std::make_unique<Slot[]>(kChunkSize));
+  }
+  return slot_count_++;
+}
+
+void Engine::deactivate(Slot& slot) noexcept {
   slot.active = false;
   ++slot.gen;  // invalidates the heap entry and any outstanding TimerId
-  free_slots_.push_back(index);
   --active_count_;
-  return cb;
 }
 
 bool Engine::cancel(TimerId id) {
   const auto index = static_cast<std::uint32_t>(id.value & 0xffffffffu);
   const auto gen = static_cast<std::uint32_t>(id.value >> 32);
-  if (index >= slots_.size()) return false;
-  const Slot& slot = slots_[index];
+  if (index >= slot_count_) return false;
+  Slot& slot = slot_at(index);
   if (!slot.active || slot.gen != gen) return false;
-  release(index);  // heap entry goes stale and is lazily swept
+  deactivate(slot);  // heap entry goes stale and is lazily swept
+  slot.cb.reset();
+  free_slots_.push_back(index);
   return true;
 }
 
@@ -55,13 +57,18 @@ bool Engine::step() {
     const Entry top = heap_.top();
     heap_.pop();
     if (!live(top)) continue;  // cancelled; lazily swept
-    // Free the slot before invoking so a callback that schedules new timers
-    // (or cancels its own now-dead id) sees consistent state.
-    Callback cb = release(top.index);
+    // Deactivate before invoking so a callback that cancels its own
+    // now-dead id sees consistent state.  The callback then runs in place:
+    // its slot joins the free list only after it returns, and chunks never
+    // move, so work it schedules can neither overwrite nor relocate it.
+    Slot& slot = slot_at(top.index);
+    deactivate(slot);
     assert(top.when >= now_);
     now_ = top.when;
     ++executed_;
-    cb();
+    slot.cb();
+    slot.cb.reset();
+    free_slots_.push_back(top.index);
     return true;
   }
   return false;

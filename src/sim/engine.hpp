@@ -8,11 +8,12 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
+#include <memory>
 #include <queue>
 #include <vector>
 
 #include "common/time.hpp"
+#include "sim/callback.hpp"
 
 namespace rill::sim {
 
@@ -25,7 +26,7 @@ struct TimerId {
 /// The simulation clock and event loop.
 class Engine {
  public:
-  using Callback = std::function<void()>;
+  using Callback = sim::Callback;
 
   Engine() = default;
   Engine(const Engine&) = delete;
@@ -81,7 +82,7 @@ class Engine {
   [[nodiscard]] std::uint64_t executed() const noexcept { return executed_; }
 
  private:
-  // Callbacks live in an index-stable slot vector with a free-list, so the
+  // Callbacks live in index-stable slots with a free-list, so the
   // schedule/fire hot path never hashes.  A slot's generation counter is
   // bumped on release, which both invalidates stale heap entries (lazy
   // cancellation) and stale TimerIds (ABA protection on slot reuse).
@@ -90,6 +91,15 @@ class Engine {
     std::uint32_t gen{0};
     bool active{false};
   };
+
+  // Slots are allocated in fixed-size chunks that never move: a callback
+  // runs in place in its slot while it schedules more work, and the slot
+  // table grows without a vector's doubling (and its transient old+new
+  // copy) on the peak-memory path.  A chunk is small (13 KB) because every
+  // engine allocates at least one: short runs should not pay for a large
+  // first chunk.
+  static constexpr std::uint32_t kChunkBits = 7;
+  static constexpr std::uint32_t kChunkSize = 1u << kChunkBits;
 
   struct Entry {
     SimTime when;
@@ -105,21 +115,31 @@ class Engine {
     }
   };
 
+  [[nodiscard]] Slot& slot_at(std::uint32_t index) noexcept {
+    return chunks_[index >> kChunkBits][index & (kChunkSize - 1)];
+  }
+  [[nodiscard]] const Slot& slot_at(std::uint32_t index) const noexcept {
+    return chunks_[index >> kChunkBits][index & (kChunkSize - 1)];
+  }
+
   [[nodiscard]] bool live(const Entry& e) const noexcept {
-    const Slot& s = slots_[e.index];
+    const Slot& s = slot_at(e.index);
     return s.active && s.gen == e.gen;
   }
 
-  // Marks the slot free and returns its callback.  The heap entry (if any)
-  // becomes stale via the generation bump.
-  Callback release(std::uint32_t index);
+  /// Index of a free slot, growing the table by one chunk when needed.
+  std::uint32_t acquire_slot();
+  /// Marks the slot inactive: its heap entry (if any) and any outstanding
+  /// TimerId go stale via the generation bump.
+  void deactivate(Slot& slot) noexcept;
 
   SimTime now_{0};
   std::uint64_t next_seq_{0};
   std::uint64_t executed_{0};
   std::size_t active_count_{0};
   std::priority_queue<Entry, std::vector<Entry>, EntryLater> heap_;
-  std::vector<Slot> slots_;
+  std::vector<std::unique_ptr<Slot[]>> chunks_;
+  std::uint32_t slot_count_{0};
   std::vector<std::uint32_t> free_slots_;
 };
 

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 #include "cluster/cluster.hpp"
 #include "sim/engine.hpp"
 
@@ -118,6 +120,23 @@ TEST_F(ClusterFixture, ActiveVmsTracksReleases) {
   const auto active = clu.active_vms();
   ASSERT_EQ(active.size(), 1u);
   EXPECT_EQ(active[0], b);
+}
+
+TEST_F(ClusterFixture, UnknownIdsThrow) {
+  // Ids are dense from 1: 0 was never handed out, and neither was any id
+  // past the last provisioned VM or slot.
+  const VmId v = clu.provision(VmType::D2, "only");
+  const SlotId last = clu.vm(v).slots.back();
+  EXPECT_NO_THROW(static_cast<void>(clu.vm(v)));
+  EXPECT_NO_THROW(static_cast<void>(clu.slot(last)));
+  EXPECT_THROW(static_cast<void>(clu.vm(VmId{0})), std::out_of_range);
+  EXPECT_THROW(static_cast<void>(clu.vm(VmId{v.value + 1})), std::out_of_range);
+  EXPECT_THROW(static_cast<void>(clu.slot(SlotId{0})), std::out_of_range);
+  EXPECT_THROW(static_cast<void>(clu.slot(SlotId{last.value + 1})),
+               std::out_of_range);
+  EXPECT_THROW(static_cast<void>(clu.vm_of(SlotId{0})), std::out_of_range);
+  EXPECT_THROW(clu.occupy(SlotId{last.value + 1}, InstanceId{1}),
+               std::out_of_range);
 }
 
 }  // namespace

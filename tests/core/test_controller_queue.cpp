@@ -9,6 +9,7 @@
 
 #include <vector>
 
+#include "chaos/injector.hpp"
 #include "core/controller.hpp"
 #include "test_util.hpp"
 
@@ -146,6 +147,36 @@ TEST(ControllerQueue, ExplicitStrategyKindOverridesBoundStrategy) {
   rig.h.run_for(time::sec(300));
   EXPECT_TRUE(done);
   EXPECT_TRUE(rig.controller->succeeded());
+}
+
+TEST(ControllerQueue, BoundRequestAfterFallbackReappliesItsSession) {
+  // A CCR-bound controller whose first request falls back to DSM under a
+  // KV outage leaves DSM's session behind (acking on, Wave wiring,
+  // periodic waves).  The next bound-strategy request must restore CCR's
+  // session before it migrates, or its Capture-mode broadcasts run on a
+  // platform still wired for DSM.
+  ControllerConfig cc;
+  cc.max_attempts = 1;
+  ControllerRig rig(StrategyKind::CCR, cc);
+  chaos::ChaosPlan plan;
+  plan.kv_outage(time::sec(30), time::sec(300));
+  chaos::ChaosInjector injector(plan, 1);
+  injector.arm(rig.h.p());
+  rig.h.p().start();
+  rig.h.run_for(time::sec(40));
+
+  bool first_done = false;
+  rig.controller->request(rig.plan_to(rig.target_a),
+                          [&](bool) { first_done = true; });
+  rig.h.run_for(time::sec(400));
+  ASSERT_TRUE(first_done);
+  ASSERT_TRUE(rig.controller->recovery().fell_back);
+  ASSERT_TRUE(rig.h.p().user_acking());  // DSM's session is still applied
+
+  rig.controller->request(rig.plan_to(rig.target_b));
+  EXPECT_FALSE(rig.h.p().user_acking());
+  EXPECT_EQ(rig.h.p().checkpoint_mode(), dsps::CheckpointMode::Capture);
+  EXPECT_FALSE(rig.h.p().coordinator().periodic_running());
 }
 
 }  // namespace

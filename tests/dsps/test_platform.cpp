@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <stdexcept>
+#include <string>
 
 #include "test_util.hpp"
 
@@ -170,6 +172,53 @@ TEST(Platform, DoubleDeployThrows) {
   EXPECT_THROW(
       h.p().deploy(testutil::mini_chain(), h.worker_vms, h.scheduler),
       std::logic_error);
+}
+
+TEST(Platform, ExecutorLookupRejectsUnknownInstances) {
+  Harness h(testutil::mini_chain());
+  Platform& p = h.p();
+  const TaskId worker = p.topology().workers().front();
+  const int parallelism = p.topology().task(worker).parallelism;
+  EXPECT_EQ(p.executor(InstanceRef{worker, parallelism - 1}).task(), worker);
+  // A task id past the topology, a source (it has a spout, no executor),
+  // a negative replica and a replica past the parallelism all throw.
+  const auto ntasks = static_cast<std::uint32_t>(p.topology().tasks().size());
+  EXPECT_THROW(static_cast<void>(p.executor(InstanceRef{TaskId{ntasks}, 0})),
+               std::logic_error);
+  EXPECT_THROW(static_cast<void>(
+                   p.executor(InstanceRef{p.topology().sources().front(), 0})),
+               std::logic_error);
+  EXPECT_THROW(static_cast<void>(p.executor(InstanceRef{worker, -1})),
+               std::logic_error);
+  EXPECT_THROW(static_cast<void>(p.executor(InstanceRef{worker, parallelism})),
+               std::logic_error);
+  const Platform& cp = p;
+  EXPECT_THROW(static_cast<void>(cp.executor(InstanceRef{worker, parallelism})),
+               std::logic_error);
+}
+
+TEST(Platform, UserLogicTracksDirtyKeysOnlyUnderDeltaCheckpoints) {
+  for (const bool delta : {false, true}) {
+    SCOPED_TRACE(delta ? "ckpt_delta=1" : "ckpt_delta=0");
+    PlatformConfig cfg;
+    cfg.ckpt_delta = delta;
+    Harness h(testutil::mini_chain(), cfg);
+    h.p().start();
+    h.run_for(time::sec(10));  // no checkpoint wave runs: nothing clears
+    for (const InstanceRef& ref : h.p().worker_and_sink_instances()) {
+      const TaskState& st = h.p().executor(ref).state();
+      ASSERT_GT(st.get("processed"), 0);
+      EXPECT_TRUE(st.deleted_keys().empty());
+      if (!delta) {
+        EXPECT_TRUE(st.dirty_keys().empty());
+        continue;
+      }
+      // Every key the logic touched is recorded, and nothing else.
+      std::set<std::string> keys;
+      for (const auto& [k, v] : st.counters) keys.insert(k);
+      EXPECT_EQ(st.dirty_keys(), keys);
+    }
+  }
 }
 
 }  // namespace

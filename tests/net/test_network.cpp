@@ -114,5 +114,35 @@ TEST_F(NetFixture, SendBetweenSlotsRoutesByHostVm) {
   EXPECT_LT(same, cross);
 }
 
+TEST(Network, FifoHoldsForVmProvisionedAfterTrafficStarted) {
+  // The FIFO table is sized to the VMs that exist when traffic starts; a
+  // VM provisioned later grows it.  Channels to and from the new VM must
+  // be FIFO from their first message, and the old channels must keep
+  // their history across the growth.
+  sim::Engine engine;
+  cluster::Cluster clu{engine};
+  const VmId a = clu.provision(cluster::VmType::D2, "a");
+  const VmId b = clu.provision(cluster::VmType::D2, "b");
+  NetworkConfig cfg;
+  cfg.jitter_frac = 0.0;
+  cfg.ns_per_byte = 1000.0;  // 1 us per byte: size sets the wire time
+  Network net(engine, clu, cfg, Rng(1));
+  std::vector<int> order;
+  net.send(a, b, 10000, [&] { order.push_back(1); });  // slow, in flight
+
+  const VmId c = clu.provision(cluster::VmType::D2, "c");
+  net.send(a, b, 0, [&] { order.push_back(2); });  // must wait behind 1
+  net.send(c, a, 10000, [&] { order.push_back(3); });
+  net.send(c, a, 0, [&] { order.push_back(4); });  // must wait behind 3
+  const VmId d = clu.provision(cluster::VmType::D2, "d");
+  net.send(a, d, 20000, [&] { order.push_back(5); });
+  net.send(a, d, 0, [&] { order.push_back(6); });  // must wait behind 5
+  // a's row grew for d: a→b must still remember message 1's arrival.
+  net.send(a, b, 0, [&] { order.push_back(7); });
+  engine.run();
+  // 1–4 and 7 all arrive at 11.2 ms (FIFO-clamped), 5 and 6 at 21.2 ms.
+  EXPECT_EQ(order, (std::vector<int>{1, 2, 3, 4, 7, 5, 6}));
+}
+
 }  // namespace
 }  // namespace rill::net

@@ -1,9 +1,9 @@
 #!/usr/bin/env bash
 # Tier-1 CI gate: RelWithDebInfo build + full test suite, then the ASan
-# preset (build + the fast chaos/FGM teardown subset). The TSan preset
-# (`--tsan`) is opt-in and build-only — the simulator is single-threaded
-# (sweeps parallelise one run per process), so there are no races to run
-# down.
+# preset (build + the fast chaos/FGM teardown and callback subset). The
+# TSan preset (`--tsan`) is opt-in and build-only — the simulator is
+# single-threaded (sweeps parallelise one run per process), so there are
+# no races to run down.
 #
 # A lint gate runs right after the default-preset tests:
 #   * rill_lint (tools/lint) enforces the determinism rules R1–R4, the
@@ -259,12 +259,14 @@ if [ "$run_asan" = 1 ]; then
   # while callbacks are still scheduled (chaos crash/respawn, FGM fluid
   # migration, capture-window retries) — the lifetimes rill_lint's R6
   # reasons about statically get checked dynamically here without paying
-  # for the full suite under instrumentation.
-  echo "==> asan: configure + build + fast chaos/FGM subset"
+  # for the full suite under instrumentation — plus sim::Callback and its
+  # users (Engine, Network), which construct captures with placement-new
+  # and destroy them by hand.
+  echo "==> asan: configure + build + fast chaos/FGM/callback subset"
   cmake --preset asan
   cmake --build --preset asan -j "$jobs"
   ctest --preset asan -j "$jobs" \
-    -R 'Chaos|CaptureWindow|Fgm|StatePartition|ExtractPartition|Checkpoint'
+    -R 'Chaos|CaptureWindow|Fgm|StatePartition|ExtractPartition|Checkpoint|Callback|Engine|Network'
 fi
 
 if [ "$run_tsan" = 1 ]; then
