@@ -157,9 +157,6 @@ class PeriodicTimer {
   void stop();
   [[nodiscard]] bool running() const noexcept { return running_; }
 
-  /// Change the period; takes effect from the next (re)start or tick.
-  void set_period(SimDuration period) noexcept { period_ = period; }
-
  private:
   void arm();
 

@@ -8,8 +8,9 @@
 # A lint gate runs right after the default-preset tests:
 #   * rill_lint (tools/lint) enforces the determinism rules R1–R4, the
 #     metric-name grammar R5 and the callback-lifetime rule R6 over src/
-#     bench/ tools/ and must report zero findings — any new violation
-#     fails the gate (there is no committed baseline; the tree is clean);
+#     bench/ tools/ in one sequential scan and must report zero findings —
+#     any new violation fails the gate (the linter has no baseline to
+#     suppress one);
 #   * clang-tidy runs the checked-in .clang-tidy profile over src/ when
 #     the binary is available (skipped with a notice otherwise — the
 #     profile needs no network, just an installed clang-tidy).
@@ -18,7 +19,8 @@
 # A determinism gate follows: each migration strategy's reference config
 # (see tests/determinism/README.md) runs twice in each of three modes —
 # full blobs, --ckpt-delta 1, and --ckpt-adaptive 1 (delta on, RTO 45 s) —
-# the two JSONL traces of each pair must be byte-identical, and the first
+# the two JSONL traces and reports of each pair must be byte-identical
+# (the det_arm function below runs one such arm), and the first
 # run's artifacts must match the committed sha256 manifests
 # (baseline.sha256 for full blobs, baseline-delta.sha256 for delta mode,
 # baseline-adaptive.sha256 for the adaptive checkpoint policy).  The FGM
@@ -28,6 +30,7 @@
 # (diurnal + flash crowd + Zipf keys + CPU steal) with --autoscale 1 runs
 # twice and checks baseline-autoscale.sha256; the four autoscale-off
 # manifests above must stay byte-identical regardless.
+# The det_manifests table lists the artifacts each manifest pins.
 # `--regen-determinism` rewrites all five manifests instead of checking
 # them (for PRs that sanction a behavioral change).
 #
@@ -94,7 +97,7 @@ ctest --preset default -j "$jobs"
 
 if [ "$run_lint" = 1 ]; then
   echo "==> lint gate: rill_lint (rules R1-R6)"
-  ./build/tools/lint/rill_lint --root . --jobs "$jobs"
+  ./build/tools/lint/rill_lint --root .
 
   if command -v clang-tidy >/dev/null 2>&1; then
     echo "==> lint gate: clang-tidy (.clang-tidy profile)"
@@ -108,119 +111,85 @@ fi
 echo "==> determinism gate: double-run + committed manifests (seed 1, grid)"
 det_dir="build/determinism"
 rm -rf "$det_dir" && mkdir -p "$det_dir"
+
+# det_arm NAME RILL_RUN_FLAGS...: run rill_run twice with the given flags,
+# require byte-identical traces and reports, and keep the first run as
+# $det_dir/NAME.jsonl and $det_dir/NAME.json.
+det_arm() {
+  local name="$1" pass
+  shift
+  for pass in 1 2; do
+    ./build/tools/rill_run "$@" \
+      --trace-jsonl "$det_dir/$name.run$pass.jsonl" --json \
+      > "$det_dir/$name.run$pass.json"
+  done
+  cmp "$det_dir/$name.run1.jsonl" "$det_dir/$name.run2.jsonl" \
+    || { echo "ci.sh: $name trace differs between identical runs" >&2
+         exit 1; }
+  cmp "$det_dir/$name.run1.json" "$det_dir/$name.run2.json" \
+    || { echo "ci.sh: $name report differs between identical runs" >&2
+         exit 1; }
+  cp "$det_dir/$name.run1.jsonl" "$det_dir/$name.jsonl"
+  cp "$det_dir/$name.run1.json" "$det_dir/$name.json"
+}
+
+grid_flags=(--dag grid --scale in --seed 1 --duration 420 --migrate-at 60)
 for mode in full delta adaptive; do
   case "$mode" in
-    delta)    extra_flags="--ckpt-delta 1"; tag=".delta" ;;
-    adaptive) extra_flags="--ckpt-delta 1 --ckpt-adaptive 1 --ckpt-rto-ms 45000"
+    delta)    mode_flags=(--ckpt-delta 1); tag=".delta" ;;
+    adaptive) mode_flags=(--ckpt-delta 1 --ckpt-adaptive 1
+                          --ckpt-rto-ms 45000)
               tag=".adaptive" ;;
-    *)        extra_flags="--ckpt-delta 0"; tag="" ;;
+    *)        mode_flags=(--ckpt-delta 0); tag="" ;;
   esac
   for s in dsm dcr ccr; do
-    for pass in 1 2; do
-      # shellcheck disable=SC2086
-      ./build/tools/rill_run --strategy "$s" --dag grid --scale in \
-        --seed 1 --duration 420 --migrate-at 60 \
-        $extra_flags \
-        --trace-jsonl "$det_dir/$s$tag.run$pass.jsonl" --json \
-        > "$det_dir/$s$tag.run$pass.json"
-    done
-    cmp "$det_dir/$s$tag.run1.jsonl" "$det_dir/$s$tag.run2.jsonl" \
-      || { echo "ci.sh: $s ($mode) trace differs between identical runs" >&2
-           exit 1; }
-    cmp "$det_dir/$s$tag.run1.json" "$det_dir/$s$tag.run2.json" \
-      || { echo "ci.sh: $s ($mode) report differs between identical runs" >&2
-           exit 1; }
-    cp "$det_dir/$s$tag.run1.jsonl" "$det_dir/$s$tag.jsonl"
-    cp "$det_dir/$s$tag.run1.json" "$det_dir/$s$tag.json"
+    det_arm "$s$tag" --strategy "$s" "${grid_flags[@]}" "${mode_flags[@]}"
   done
 done
 # FGM arm (full blobs only): a fourth manifest for the fluid strategy.  It
 # runs after — and fully apart from — the three FGM-off strategies above,
 # so their manifests cannot be perturbed by the new code path.
-for pass in 1 2; do
-  ./build/tools/rill_run --strategy fgm --dag grid --scale in \
-    --seed 1 --duration 420 --migrate-at 60 --ckpt-delta 0 \
-    --trace-jsonl "$det_dir/fgm.run$pass.jsonl" --json \
-    > "$det_dir/fgm.run$pass.json"
-done
-cmp "$det_dir/fgm.run1.jsonl" "$det_dir/fgm.run2.jsonl" \
-  || { echo "ci.sh: fgm trace differs between identical runs" >&2; exit 1; }
-cmp "$det_dir/fgm.run1.json" "$det_dir/fgm.run2.json" \
-  || { echo "ci.sh: fgm report differs between identical runs" >&2; exit 1; }
-cp "$det_dir/fgm.run1.jsonl" "$det_dir/fgm.jsonl"
-cp "$det_dir/fgm.run1.json" "$det_dir/fgm.json"
+det_arm fgm --strategy fgm "${grid_flags[@]}" --ckpt-delta 0
 # Autoscale arm: the closed loop on the Keyed dag under the bench traffic
 # (tests/determinism/README.md).  Runs after — and fully apart from — the
 # autoscale-off arms above, so their manifests cannot be perturbed by the
 # controller code path.
-for pass in 1 2; do
-  ./build/tools/rill_run --dag keyed --autoscale 1 \
-    --autoscale-slo-p99-ms 1500 \
-    --traffic-base 2 --traffic-diurnal 0.5 --traffic-diurnal-period-s 600 \
-    --traffic-crowd 200,15,120,30,18 --traffic-zipf 0.6 \
-    --interference-permille 600 \
-    --seed 1 --duration 900 --ckpt-delta 0 \
-    --trace-jsonl "$det_dir/autoscale.run$pass.jsonl" --json \
-    > "$det_dir/autoscale.run$pass.json"
+det_arm autoscale --dag keyed --autoscale 1 \
+  --autoscale-slo-p99-ms 1500 \
+  --traffic-base 2 --traffic-diurnal 0.5 --traffic-diurnal-period-s 600 \
+  --traffic-crowd 200,15,120,30,18 --traffic-zipf 0.6 \
+  --interference-permille 600 \
+  --seed 1 --duration 900 --ckpt-delta 0
+
+# Manifest -> the artifacts it pins, in the order the manifest lists them.
+det_manifests=(
+  "baseline.sha256: dsm.jsonl dsm.json dcr.jsonl dcr.json ccr.jsonl ccr.json"
+  "baseline-delta.sha256: dsm.delta.jsonl dsm.delta.json
+     dcr.delta.jsonl dcr.delta.json ccr.delta.jsonl ccr.delta.json"
+  "baseline-adaptive.sha256: dsm.adaptive.jsonl dsm.adaptive.json
+     dcr.adaptive.jsonl dcr.adaptive.json
+     ccr.adaptive.jsonl ccr.adaptive.json"
+  "baseline-fgm.sha256: fgm.jsonl fgm.json"
+  "baseline-autoscale.sha256: autoscale.jsonl autoscale.json"
+)
+for entry in "${det_manifests[@]}"; do
+  manifest="tests/determinism/${entry%%:*}"
+  artifacts="${entry#*:}"
+  if [ "$regen_determinism" = 1 ]; then
+    # shellcheck disable=SC2086
+    ( cd "$det_dir" && sha256sum $artifacts ) > "$manifest"
+  else
+    ( cd "$det_dir" && sha256sum -c "../../$manifest" ) \
+      || { echo "ci.sh: artifacts drifted from $manifest;" \
+                "if the change is sanctioned, rerun with --regen-determinism" >&2
+           exit 1; }
+  fi
 done
-cmp "$det_dir/autoscale.run1.jsonl" "$det_dir/autoscale.run2.jsonl" \
-  || { echo "ci.sh: autoscale trace differs between identical runs" >&2
-       exit 1; }
-cmp "$det_dir/autoscale.run1.json" "$det_dir/autoscale.run2.json" \
-  || { echo "ci.sh: autoscale report differs between identical runs" >&2
-       exit 1; }
-cp "$det_dir/autoscale.run1.jsonl" "$det_dir/autoscale.jsonl"
-cp "$det_dir/autoscale.run1.json" "$det_dir/autoscale.json"
 if [ "$regen_determinism" = 1 ]; then
-  ( cd "$det_dir" &&
-    sha256sum dsm.jsonl dsm.json dcr.jsonl dcr.json ccr.jsonl ccr.json ) \
-    > tests/determinism/baseline.sha256
-  ( cd "$det_dir" &&
-    sha256sum dsm.delta.jsonl dsm.delta.json dcr.delta.jsonl dcr.delta.json \
-              ccr.delta.jsonl ccr.delta.json ) \
-    > tests/determinism/baseline-delta.sha256
-  ( cd "$det_dir" &&
-    sha256sum dsm.adaptive.jsonl dsm.adaptive.json \
-              dcr.adaptive.jsonl dcr.adaptive.json \
-              ccr.adaptive.jsonl ccr.adaptive.json ) \
-    > tests/determinism/baseline-adaptive.sha256
-  ( cd "$det_dir" && sha256sum fgm.jsonl fgm.json ) \
-    > tests/determinism/baseline-fgm.sha256
-  ( cd "$det_dir" && sha256sum autoscale.jsonl autoscale.json ) \
-    > tests/determinism/baseline-autoscale.sha256
   echo "==> determinism gate: manifests regenerated" \
        "(tests/determinism/baseline.sha256, baseline-delta.sha256," \
        "baseline-adaptive.sha256, baseline-fgm.sha256," \
        "baseline-autoscale.sha256) — commit them with the PR"
-else
-  ( cd "$det_dir" && sha256sum -c ../../tests/determinism/baseline.sha256 ) \
-    || { echo "ci.sh: artifacts drifted from tests/determinism/baseline.sha256;" \
-              "if the change is sanctioned, rerun with --regen-determinism" >&2
-         exit 1; }
-  ( cd "$det_dir" &&
-    sha256sum -c ../../tests/determinism/baseline-delta.sha256 ) \
-    || { echo "ci.sh: artifacts drifted from" \
-              "tests/determinism/baseline-delta.sha256;" \
-              "if the change is sanctioned, rerun with --regen-determinism" >&2
-         exit 1; }
-  ( cd "$det_dir" &&
-    sha256sum -c ../../tests/determinism/baseline-adaptive.sha256 ) \
-    || { echo "ci.sh: artifacts drifted from" \
-              "tests/determinism/baseline-adaptive.sha256;" \
-              "if the change is sanctioned, rerun with --regen-determinism" >&2
-         exit 1; }
-  ( cd "$det_dir" &&
-    sha256sum -c ../../tests/determinism/baseline-fgm.sha256 ) \
-    || { echo "ci.sh: artifacts drifted from" \
-              "tests/determinism/baseline-fgm.sha256;" \
-              "if the change is sanctioned, rerun with --regen-determinism" >&2
-         exit 1; }
-  ( cd "$det_dir" &&
-    sha256sum -c ../../tests/determinism/baseline-autoscale.sha256 ) \
-    || { echo "ci.sh: artifacts drifted from" \
-              "tests/determinism/baseline-autoscale.sha256;" \
-              "if the change is sanctioned, rerun with --regen-determinism" >&2
-         exit 1; }
 fi
 
 echo "==> attribution gate: 1-in-4 sampled runs + rill_trace --check"

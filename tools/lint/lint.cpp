@@ -2,15 +2,10 @@
 
 #include <algorithm>
 #include <array>
-#include <atomic>
 #include <cstddef>
-#include <cstdlib>
-#include <functional>
 #include <map>
 #include <set>
-#include <sstream>
 #include <string_view>
-#include <thread>
 #include <unordered_map>
 #include <unordered_set>
 
@@ -26,6 +21,36 @@ void append_comment(LexedFile& out, int line, std::string_view text) {
   std::string& slot = out.comments[line];
   if (!slot.empty()) slot += ' ';
   slot.append(text);
+}
+
+// ---------------------------------------------------------- rule settings
+
+/// Path prefix exempt from R1: the deterministic time/rng shim lives here.
+constexpr std::string_view kWallclockShim = "src/common/";
+/// Path prefix exempt from R5: the single naming helper lives here and is
+/// allowed to concatenate name parts.
+constexpr std::string_view kNameHelper = "src/obs/names";
+/// Method names treated as [[nodiscard]] even if the annotation is not
+/// visible in the scanned set (seed list; the scan extends it).
+constexpr std::array<std::string_view, 3> kNodiscardSeed = {
+    "schedule", "schedule_at", "cancel"};
+/// R6: handle-returning scheduler methods.  The "member handle + destructor
+/// cancel" legality route applies only to these.
+constexpr std::array<std::string_view, 2> kHandleSchedulers = {
+    "schedule", "schedule_at"};
+/// R6: fire-and-forget scheduler methods.  A raw-`this`/by-ref capture here
+/// needs RILL_PINNED or a waiver — there is no handle to cancel.
+constexpr std::array<std::string_view, 2> kDetachedSchedulers = {
+    "schedule_detached", "schedule_at_detached"};
+/// R6: net/kvstore completion-callback APIs whose lambda arguments are
+/// checked too.
+constexpr std::array<std::string_view, 9> kCallbackApis = {
+    "send",      "send_between_slots", "put",  "get", "del",
+    "put_batch", "mget",               "mdel", "put_pipelined"};
+
+template <std::size_t N>
+bool one_of(const std::array<std::string_view, N>& names, std::string_view s) {
+  return std::find(names.begin(), names.end(), s) != names.end();
 }
 
 }  // namespace
@@ -216,8 +241,7 @@ struct ScanClass {
 
 struct FileInfo {
   LexedFile lexed;
-  std::vector<std::string> lines;       ///< raw source lines (1-based via index+1)
-  bool report_surface{false};           ///< R3 applies to fields declared here
+  bool report_surface{false};  ///< R3 applies to fields declared here
   // Pass-1 declarations, joined to use sites via the include closure.
   // Ordered sets: the closure union iterates these, and the linter holds
   // itself to its own R2.
@@ -229,27 +253,6 @@ struct FileInfo {
   std::vector<ScanClass> classes;
   std::vector<ScanRegion> regions;
 };
-
-std::vector<std::string> split_lines(const std::string& s) {
-  std::vector<std::string> lines;
-  std::size_t start = 0;
-  for (std::size_t i = 0; i <= s.size(); ++i) {
-    if (i == s.size() || s[i] == '\n') {
-      std::string l = s.substr(start, i - start);
-      if (!l.empty() && l.back() == '\r') l.pop_back();
-      lines.push_back(std::move(l));
-      start = i + 1;
-    }
-  }
-  return lines;
-}
-
-std::string trim(const std::string& s) {
-  std::size_t a = s.find_first_not_of(" \t");
-  if (a == std::string::npos) return "";
-  std::size_t b = s.find_last_not_of(" \t");
-  return s.substr(a, b - a + 1);
-}
 
 std::string basename_of(const std::string& path) {
   const std::size_t slash = path.find_last_of('/');
@@ -455,27 +458,15 @@ struct Scope {
   std::set<std::string> float_fields;
 };
 
-void emit(std::vector<Finding>& out, const std::string& path,
-          const FileInfo& info, const Token& at, std::string rule,
-          std::string message, std::string hint) {
-  Finding f;
-  f.file = path;
-  f.line = at.line;
-  f.col = at.col;
-  f.rule = std::move(rule);
-  f.message = std::move(message);
-  f.hint = std::move(hint);
-  if (at.line >= 1 && static_cast<std::size_t>(at.line) <= info.lines.size()) {
-    f.line_text = trim(info.lines[static_cast<std::size_t>(at.line) - 1]);
-  }
-  out.push_back(std::move(f));
+void emit(std::vector<Finding>& out, const std::string& path, const Token& at,
+          std::string rule, std::string message, std::string hint) {
+  out.push_back({path, at.line, at.col, std::move(rule), std::move(message),
+                 std::move(hint)});
 }
 
 void check_r1(const std::string& path, const FileInfo& info,
-              const Options& opts, std::vector<Finding>& out) {
-  for (const std::string& prefix : opts.wallclock_allowlist) {
-    if (path.rfind(prefix, 0) == 0) return;
-  }
+              std::vector<Finding>& out) {
+  if (path.starts_with(kWallclockShim)) return;
   static const std::unordered_set<std::string> kTypes = {
       "system_clock",  "steady_clock", "high_resolution_clock",
       "random_device", "mt19937",      "mt19937_64",
@@ -497,7 +488,7 @@ void check_r1(const std::string& path, const FileInfo& info,
                           (i == 0 || (t[i - 1].text != "." && t[i - 1].text != "->"));
     if (!type_hit && !func_hit) continue;
     if (waived(info.lexed, t[i].line, "wallclock")) continue;
-    emit(out, path, info, t[i], "R1/wallclock",
+    emit(out, path, t[i], "R1/wallclock",
          "wall-clock/entropy source '" + name + "' outside the allowlisted shim",
          "use sim::Engine::now() for time and rill::Rng for randomness; or "
          "waive with // lint: wallclock-ok(reason)");
@@ -531,7 +522,7 @@ void check_r2(const std::string& path, const FileInfo& info, const Scope& scope,
                          j + 1 < close && t[j + 1].text == "(";
         if (!var && !acc) continue;
         if (waived(info.lexed, t[i].line, "unordered-iter")) break;
-        emit(out, path, info, t[i], "R2/unordered-iter",
+        emit(out, path, t[i], "R2/unordered-iter",
              "range-for over unordered container '" + t[j].text +
                  "' — bucket order is not deterministic",
              "collect and sort keys (or switch to std::map); or waive with "
@@ -547,7 +538,7 @@ void check_r2(const std::string& path, const FileInfo& info, const Scope& scope,
       if ((m == "begin" || m == "cbegin" || m == "rbegin" || m == "crbegin") &&
           t[i + 3].text == "(") {
         if (waived(info.lexed, t[i].line, "unordered-iter")) continue;
-        emit(out, path, info, t[i], "R2/unordered-iter",
+        emit(out, path, t[i], "R2/unordered-iter",
              "iterator over unordered container '" + t[i].text +
                  "' — bucket order is not deterministic",
              "collect and sort keys (or switch to std::map); or waive with "
@@ -585,7 +576,7 @@ void check_r3(const std::string& path, const FileInfo& info, const Scope& scope,
         continue;
       if (!is_size_like_field(t[i + 1].text)) continue;
       if (waived(info.lexed, t[i].line, "float-size-field")) continue;
-      emit(out, path, info, t[i + 1], "R3/float-size-field",
+      emit(out, path, t[i + 1], "R3/float-size-field",
            "size-like report field '" + t[i + 1].text +
                "' declared " + name,
            "declare byte totals, delta-size ratios and chain lengths as "
@@ -601,7 +592,7 @@ void check_r3(const std::string& path, const FileInfo& info, const Scope& scope,
     if (op != "+=" && op != "-=" && op != "*=" && op != "/=") continue;
     if (!scope.float_fields.contains(t[i].text)) continue;
     if (waived(info.lexed, t[i].line, "float-accum")) continue;
-    emit(out, path, info, t[i], "R3/float-accum",
+    emit(out, path, t[i], "R3/float-accum",
          "floating-point accumulation into report field '" + t[i].text + "'",
          "accumulate in integer units (e.g. microseconds / counts) and "
          "convert at the report boundary; or waive with "
@@ -684,12 +675,12 @@ void check_r4(const std::string& path, const FileInfo& info, const Scope& scope,
 
     if (waived(info.lexed, t[i].line, "nodiscard")) continue;
     if (explicit_discard) {
-      emit(out, path, info, t[i], "R4/nodiscard",
+      emit(out, path, t[i], "R4/nodiscard",
            "explicitly discarded result of [[nodiscard]] call '" + t[i].text +
                "' without a waiver",
            "explain the discard with // lint: nodiscard-ok(reason)");
     } else {
-      emit(out, path, info, t[i], "R4/nodiscard",
+      emit(out, path, t[i], "R4/nodiscard",
            "discarded result of [[nodiscard]] call '" + t[i].text + "'",
            "consume the result, or discard explicitly with "
            "static_cast<void>(...) plus // lint: nodiscard-ok(reason)");
@@ -713,10 +704,8 @@ bool clean_metric_name(std::string_view body) {
 }
 
 void check_r5(const std::string& path, const FileInfo& info,
-              const Options& opts, std::vector<Finding>& out) {
-  for (const std::string& prefix : opts.name_helper_allowlist) {
-    if (path.rfind(prefix, 0) == 0) return;
-  }
+              std::vector<Finding>& out) {
+  if (path.starts_with(kNameHelper)) return;
   static const std::unordered_set<std::string> kInstruments = {
       "counter", "gauge", "histogram", "instant", "begin", "span_at"};
   const std::vector<Token>& t = info.lexed.tokens;
@@ -747,7 +736,7 @@ void check_r5(const std::string& path, const FileInfo& info,
                           (j + 1 <= close && t[j + 1].text == "+");
       if (concat) {
         if (waived(info.lexed, t[j].line, "name-concat")) continue;
-        emit(out, path, info, t[j], "R5/name-concat",
+        emit(out, path, t[j], "R5/name-concat",
              "instrument name assembled with '+' at the '" + t[i].text +
                  "' call site",
              "compose instrument names through the obs::names helper; or "
@@ -757,7 +746,7 @@ void check_r5(const std::string& path, const FileInfo& info,
       const std::string body = lit.substr(1, lit.size() - 2);
       if (clean_metric_name(body)) continue;
       if (waived(info.lexed, t[j].line, "metric-name")) continue;
-      emit(out, path, info, t[j], "R5/metric-name",
+      emit(out, path, t[j], "R5/metric-name",
            "instrument name " + lit + " does not match [a-z0-9_.]+",
            "use lowercase dot/underscore-separated names (stable, grep-able, "
            "shell-safe); or waive with // lint: metric-name-ok(reason)");
@@ -1029,10 +1018,9 @@ struct ClassInfo {
 };
 using ClassModel = std::map<std::string, ClassInfo>;
 
-ClassModel build_model(const std::vector<const FileInfo*>& order) {
+ClassModel build_model(const std::vector<FileInfo>& sorted) {
   ClassModel model;
-  for (const FileInfo* fi_ptr : order) {
-    const FileInfo& fi = *fi_ptr;
+  for (const FileInfo& fi : sorted) {
     for (const ScanClass& c : fi.classes) {
       ClassInfo& ci = model[c.name];
       ci.pinned = ci.pinned || c.pinned;
@@ -1112,17 +1100,14 @@ std::size_t prev_before_receiver(const std::vector<Token>& t, std::size_t i) {
 }
 
 void check_r6(const std::string& path, const FileInfo& info,
-              const ClassModel& model, const Options& opts,
-              std::vector<Finding>& out) {
+              const ClassModel& model, std::vector<Finding>& out) {
   const std::vector<Token>& t = info.lexed.tokens;
-  std::set<std::string> handles(opts.handle_schedulers.begin(),
-                                opts.handle_schedulers.end());
-  std::set<std::string> all = handles;
-  all.insert(opts.detached_schedulers.begin(), opts.detached_schedulers.end());
-  all.insert(opts.callback_apis.begin(), opts.callback_apis.end());
-
   for (std::size_t i = 1; i + 1 < t.size(); ++i) {
-    if (t[i].kind != TokKind::Ident || !all.contains(t[i].text)) continue;
+    if (t[i].kind != TokKind::Ident) continue;
+    const bool handle_api = one_of(kHandleSchedulers, t[i].text);
+    if (!handle_api && !one_of(kDetachedSchedulers, t[i].text) &&
+        !one_of(kCallbackApis, t[i].text))
+      continue;
     if (t[i + 1].text != "(") continue;
     const std::string& recv = t[i - 1].text;
     if (recv != "." && recv != "->") continue;
@@ -1138,7 +1123,7 @@ void check_r6(const std::string& path, const FileInfo& info,
     // Legality route (a): the returned handle is stored into a member of
     // the enclosing class whose destructor cancels that member.
     bool handle_held = false;
-    if (handles.contains(t[i].text) && encl != nullptr) {
+    if (handle_api && encl != nullptr) {
       const std::size_t p = prev_before_receiver(t, i);
       if (p != kNpos && p >= 1 && t[p].text == "=" &&
           t[p - 1].kind == TokKind::Ident &&
@@ -1190,7 +1175,7 @@ void check_r6(const std::string& path, const FileInfo& info,
         if (!caps.empty()) caps += ", ";
         caps += b;
       }
-      emit(out, path, info, t[j], "R6/callback-lifetime",
+      emit(out, path, t[j], "R6/callback-lifetime",
            "callback passed to '" + t[i].text + "' captures " + caps +
                " with no lifetime guarantee",
            "store the returned TimerId in a member cancelled by the "
@@ -1201,63 +1186,27 @@ void check_r6(const std::string& path, const FileInfo& info,
   }
 }
 
-/// Chunk-free work-stealing parallel loop; `body(i)` must be safe to run
-/// concurrently for distinct `i`.
-void parallel_for(std::size_t n, int jobs,
-                  const std::function<void(std::size_t)>& body) {
-  const int workers =
-      static_cast<int>(std::min<std::size_t>(jobs > 1 ? jobs : 1, n));
-  if (workers <= 1) {
-    for (std::size_t i = 0; i < n; ++i) body(i);
-    return;
-  }
-  std::atomic<std::size_t> next{0};
-  const auto drain = [&] {
-    for (;;) {
-      const std::size_t i = next.fetch_add(1);
-      if (i >= n) return;
-      body(i);
-    }
-  };
-  std::vector<std::thread> pool;
-  pool.reserve(static_cast<std::size_t>(workers) - 1);
-  for (int w = 1; w < workers; ++w) pool.emplace_back(drain);
-  drain();
-  for (std::thread& th : pool) th.join();
-}
-
 }  // namespace
 
-std::vector<Finding> run(const std::vector<SourceFile>& files,
-                         const Options& opts) {
-  // Deterministic processing order regardless of input order or job count.
+std::vector<Finding> run(const std::vector<SourceFile>& files) {
+  // Deterministic processing order regardless of input order.
   std::vector<std::size_t> order(files.size());
   for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
   std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
     return files[a].path < files[b].path;
   });
 
-  // Pass 1 (parallel): lex, index, and class-scan every file independently.
+  // Pass 1: lex, index, and class-scan every file independently.
   std::vector<FileInfo> slots(files.size());
-  parallel_for(order.size(), opts.jobs, [&](std::size_t k) {
+  std::map<std::string, const FileInfo*> infos;
+  for (std::size_t k = 0; k < order.size(); ++k) {
     const SourceFile& f = files[order[k]];
     FileInfo& info = slots[k];
     info.lexed = lex(f.content);
-    info.lines = split_lines(f.content);
     info.report_surface = is_report_surface(f.path);
     index_file(info);
     scan_classes(info);
-  });
-
-  std::map<std::string, const FileInfo*> infos;
-  std::vector<const FileInfo*> by_order;
-  std::vector<std::string> paths;
-  by_order.reserve(order.size());
-  paths.reserve(order.size());
-  for (std::size_t k = 0; k < order.size(); ++k) {
-    infos.emplace(files[order[k]].path, &slots[k]);
-    by_order.push_back(&slots[k]);
-    paths.push_back(files[order[k]].path);
+    infos.emplace(f.path, &info);
   }
 
   // Include-closure edges: resolve quoted includes against src/, the scan
@@ -1277,19 +1226,16 @@ std::vector<Finding> run(const std::vector<SourceFile>& files,
   }
 
   // Cross-TU class model for R6, merged in sorted file order.
-  const ClassModel model = build_model(by_order);
+  const ClassModel model = build_model(slots);
 
-  // Pass 2 (parallel): per file, union declarations over its include
-  // closure (BFS), then run the rules.  All shared state is read-only.
-  std::vector<std::vector<Finding>> per_file(order.size());
-  parallel_for(order.size(), opts.jobs, [&](std::size_t k) {
-    const std::string& path = paths[k];
-    const FileInfo& info = *by_order[k];
-    std::vector<Finding>& findings = per_file[k];
+  // Pass 2: per file, union declarations over its include closure (BFS),
+  // then run the rules.
+  std::vector<Finding> findings;
+  for (std::size_t k = 0; k < order.size(); ++k) {
+    const std::string& path = files[order[k]].path;
+    const FileInfo& info = slots[k];
     Scope scope;
-    for (const std::string& seed : opts.nodiscard_seed) {
-      scope.nodiscard_funcs.insert(seed);
-    }
+    scope.nodiscard_funcs.insert(kNodiscardSeed.begin(), kNodiscardSeed.end());
     std::vector<std::string> queue{path};
     std::unordered_set<std::string> seen{path};
     while (!queue.empty()) {
@@ -1309,19 +1255,14 @@ std::vector<Finding> run(const std::vector<SourceFile>& files,
         if (seen.insert(next).second) queue.push_back(next);
       }
     }
-    check_r1(path, info, opts, findings);
+    check_r1(path, info, findings);
     check_r2(path, info, scope, findings);
     check_r3(path, info, scope, findings);
     check_r4(path, info, scope, findings);
-    check_r5(path, info, opts, findings);
-    check_r6(path, info, model, opts, findings);
-  });
-
-  std::vector<Finding> findings;
-  for (std::vector<Finding>& v : per_file) {
-    findings.insert(findings.end(), std::make_move_iterator(v.begin()),
-                    std::make_move_iterator(v.end()));
+    check_r5(path, info, findings);
+    check_r6(path, info, model, findings);
   }
+
   std::sort(findings.begin(), findings.end(),
             [](const Finding& a, const Finding& b) {
               if (a.file != b.file) return a.file < b.file;
@@ -1330,119 +1271,6 @@ std::vector<Finding> run(const std::vector<SourceFile>& files,
               return a.rule < b.rule;
             });
   return findings;
-}
-
-std::string format_github(const Finding& f) {
-  const auto esc_data = [](const std::string& s) {
-    std::string r;
-    for (const char c : s) {
-      if (c == '%') r += "%25";
-      else if (c == '\n') r += "%0A";
-      else if (c == '\r') r += "%0D";
-      else r += c;
-    }
-    return r;
-  };
-  const auto esc_prop = [&](const std::string& s) {
-    std::string r;
-    for (const char c : esc_data(s)) {
-      if (c == ',') r += "%2C";
-      else if (c == ':') r += "%3A";
-      else r += c;
-    }
-    return r;
-  };
-  std::ostringstream o;
-  o << "::error file=" << esc_prop(f.file) << ",line=" << f.line
-    << ",col=" << f.col << ",title=" << esc_prop(f.rule)
-    << "::" << esc_data(f.message) << " [" << esc_data(f.hint) << "]";
-  return o.str();
-}
-
-// --------------------------------------------------------------- baseline
-
-namespace {
-
-std::uint64_t fnv1a64(std::string_view s) {
-  std::uint64_t h = 1469598103934665603ULL;
-  for (const char c : s) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 1099511628211ULL;
-  }
-  return h;
-}
-
-/// v2 key field: "h:" + 16 hex digits of the FNV-1a-64 hash of the
-/// statement text with all whitespace removed, so pure reformatting
-/// (re-indents, alignment, spaces inside parens) does not invalidate a
-/// baseline entry.  Collisions between distinct statements that differ
-/// only in spacing are acceptable for a suppression key.
-std::string normalized_hash(const std::string& line_text) {
-  std::string norm;
-  for (const char c : line_text) {
-    if (c == ' ' || c == '\t') continue;
-    norm += c;
-  }
-  std::uint64_t h = fnv1a64(norm);
-  char hex[17];
-  static constexpr char kDigits[] = "0123456789abcdef";
-  for (int i = 15; i >= 0; --i) {
-    hex[i] = kDigits[h & 0xF];
-    h >>= 4;
-  }
-  hex[16] = '\0';
-  return std::string("h:") + hex;
-}
-
-std::string baseline_key_v2(const Finding& f) {
-  return f.file + "\t" + f.rule + "\t" + normalized_hash(f.line_text);
-}
-
-/// v1 (legacy) key: the raw trimmed statement text.  Still accepted by
-/// filter_baseline so a committed v1 baseline keeps working until it is
-/// regenerated with --write-baseline.
-std::string baseline_key_v1(const Finding& f) {
-  return f.file + "\t" + f.rule + "\t" + f.line_text;
-}
-
-}  // namespace
-
-std::string write_baseline(const std::vector<Finding>& findings) {
-  std::map<std::string, int> counts;
-  for (const Finding& f : findings) ++counts[baseline_key_v2(f)];
-  std::ostringstream out;
-  out << "# rill_lint baseline v2 — regenerate with: rill_lint "
-         "--write-baseline <file>\n"
-      << "# count<TAB>file<TAB>rule<TAB>h:<fnv1a64 of normalized "
-         "statement>\n";
-  for (const auto& [key, count] : counts) out << count << '\t' << key << '\n';
-  return out.str();
-}
-
-std::vector<Finding> filter_baseline(const std::vector<Finding>& findings,
-                                     const std::string& baseline) {
-  std::map<std::string, int> budget;
-  for (const std::string& line : split_lines(baseline)) {
-    if (line.empty() || line[0] == '#') continue;
-    const std::size_t tab = line.find('\t');
-    if (tab == std::string::npos) continue;
-    const int count = std::atoi(line.substr(0, tab).c_str());
-    if (count > 0) budget[line.substr(tab + 1)] += count;
-  }
-  std::vector<Finding> fresh;
-  for (const Finding& f : findings) {
-    bool suppressed = false;
-    for (const std::string& key : {baseline_key_v2(f), baseline_key_v1(f)}) {
-      const auto it = budget.find(key);
-      if (it != budget.end() && it->second > 0) {
-        --it->second;
-        suppressed = true;
-        break;
-      }
-    }
-    if (!suppressed) fresh.push_back(f);
-  }
-  return fresh;
 }
 
 }  // namespace rill::lint

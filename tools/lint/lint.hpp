@@ -6,8 +6,7 @@
 //
 //   R1 wallclock       wall-clock / entropy sources (std::chrono clocks,
 //                      rand(), std::random_device, time(), ...) anywhere
-//                      outside the allowlisted shim (src/common/ by
-//                      default).  All time must come from sim::Engine and
+//                      outside the allowlisted shim (src/common/).  All time must come from sim::Engine and
 //                      all randomness from rill::Rng.
 //   R2 unordered-iter  range-for / begin() iteration over
 //                      std::unordered_map / std::unordered_set.  Bucket
@@ -57,14 +56,6 @@
 //   // lint: lifetime-ok(<reason>)
 //
 // The reason is mandatory — an empty waiver is itself a finding.
-//
-// Baseline mode: --write-baseline snapshots current findings keyed by
-// (file, rule, hash of the whitespace-normalized statement text) — the v2
-// format, robust to unrelated edits above a waived site and to pure
-// reformatting — and --baseline suppresses exactly those, so CI fails only
-// on *new* violations while a legacy tree is paid down.  filter_baseline()
-// still accepts the v1 format (raw statement text as the key), so a
-// committed baseline migrates by simply re-running --write-baseline.
 #pragma once
 
 #include <cstdint>
@@ -107,40 +98,6 @@ struct Finding {
   std::string rule;     ///< "R1/wallclock", "R2/unordered-iter", ...
   std::string message;
   std::string hint;
-  /// Trimmed text of the source line, used as the baseline key.
-  std::string line_text;
-};
-
-struct Options {
-  /// Path prefixes (relative, '/'-separated) exempt from R1 — the
-  /// deterministic time/rng shim lives here.
-  std::vector<std::string> wallclock_allowlist{"src/common/"};
-  /// Method names treated as [[nodiscard]] even if the annotation is not
-  /// visible in the scanned set (seed list; the scan extends it).
-  std::vector<std::string> nodiscard_seed{"schedule", "schedule_at",
-                                          "cancel"};
-  /// Path prefixes exempt from R5 — the single naming helper lives here
-  /// and is allowed to concatenate name parts.
-  std::vector<std::string> name_helper_allowlist{"src/obs/names"};
-
-  // ---- R6 ----
-  /// Handle-returning scheduler methods: the "member handle + destructor
-  /// cancel" legality route applies only to these.
-  std::vector<std::string> handle_schedulers{"schedule", "schedule_at"};
-  /// Fire-and-forget scheduler methods: a raw-`this`/by-ref capture here
-  /// needs RILL_PINNED or a waiver — there is no handle to cancel.
-  std::vector<std::string> detached_schedulers{"schedule_detached",
-                                               "schedule_at_detached"};
-  /// net/kvstore completion-callback APIs whose lambda arguments R6 also
-  /// checks.
-  std::vector<std::string> callback_apis{"send",  "send_between_slots",
-                                         "put",   "get",
-                                         "del",   "put_batch",
-                                         "mget",  "mdel",
-                                         "put_pipelined"};
-  /// Worker threads for the lex/index and rule passes (1 = sequential).
-  /// Output is deterministic regardless: findings are merged and sorted.
-  int jobs{1};
 };
 
 /// One input file: path is repo-relative with '/' separators.
@@ -154,23 +111,6 @@ struct SourceFile {
 /// (declarations are indexed across the whole set and joined to use sites
 /// through the quoted-include graph; the class model for R6 is merged
 /// across the whole set by class name).
-[[nodiscard]] std::vector<Finding> run(const std::vector<SourceFile>& files,
-                                       const Options& opts = {});
-
-/// Render one finding as a GitHub Actions workflow annotation
-/// (`::error file=...,line=...,col=...,title=<rule>::<message>`).
-[[nodiscard]] std::string format_github(const Finding& f);
-
-// -------------------------------------------------------------- baseline
-
-/// Serialize findings as a baseline: one line per (file, rule, statement
-/// text) with an occurrence count, sorted, tab-separated.
-[[nodiscard]] std::string write_baseline(const std::vector<Finding>& findings);
-
-/// Filter `findings` against a baseline previously produced by
-/// write_baseline(): the first N occurrences of each baselined key are
-/// suppressed; anything beyond is returned as new.
-[[nodiscard]] std::vector<Finding> filter_baseline(
-    const std::vector<Finding>& findings, const std::string& baseline);
+[[nodiscard]] std::vector<Finding> run(const std::vector<SourceFile>& files);
 
 }  // namespace rill::lint
