@@ -8,11 +8,8 @@ namespace rill {
 namespace {
 
 std::uint64_t splitmix64(std::uint64_t& x) noexcept {
-  x += 0x9e3779b97f4a7c15ull;
-  std::uint64_t z = x;
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
-  return z ^ (z >> 31);
+  x += kSplitMix64Gamma;
+  return splitmix64_mix(x);
 }
 
 constexpr std::uint64_t rotl(std::uint64_t x, int k) noexcept {

@@ -12,6 +12,19 @@
 
 namespace rill {
 
+/// SplitMix64's golden-ratio increment (Steele, Lea & Flood).
+inline constexpr std::uint64_t kSplitMix64Gamma = 0x9e3779b97f4a7c15ull;
+
+/// SplitMix64's output mix (Stafford variant 13): a bijective 64-bit
+/// finaliser.  The one copy of the constants every hash and seed fork in
+/// the tree uses; callers that want the full SplitMix64 step add
+/// kSplitMix64Gamma to the input first.
+[[nodiscard]] constexpr std::uint64_t splitmix64_mix(std::uint64_t z) noexcept {
+  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
+  z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
+  return z ^ (z >> 31);
+}
+
 /// xoshiro256** by Blackman & Vigna (public domain reference
 /// implementation, adapted).  Deterministic across platforms.
 class Rng {

@@ -6,6 +6,7 @@
 #include <utility>
 
 #include "ckpt/recovery.hpp"
+#include "common/rng.hpp"
 #include "dsps/platform.hpp"
 #include "obs/attribution.hpp"
 #include "obs/names.hpp"
@@ -13,19 +14,6 @@
 #include "obs/trace.hpp"
 
 namespace rill::dsps {
-
-namespace {
-
-/// splitmix64 finalizer — order-independent signature hashing for the
-/// user-logic state so tests can compare "same multiset of events
-/// processed" across migrations.
-std::uint64_t mix64(std::uint64_t x) noexcept {
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
-  return x ^ (x >> 31);
-}
-
-}  // namespace
 
 Executor::Executor(Platform& platform, InstanceId id, InstanceRef ref)
     : platform_(platform), id_(id), ref_(ref) {}
@@ -350,7 +338,9 @@ void Executor::apply_user_logic(const Event& ev) {
     return track ? state_[k] : state_.counters[k];
   };
   counter("processed") += 1;
-  counter("sig") ^= static_cast<std::int64_t>(mix64(ev.id));
+  // Order-independent signature of the processed events, so tests can
+  // compare "same multiset of events processed" across migrations.
+  counter("sig") ^= static_cast<std::int64_t>(splitmix64_mix(ev.id));
   if (ev.replayed) counter("replayed_seen") += 1;
   if (platform_.topology().task(ref_.task).keyed_state) {
     counter("key/" + std::to_string(ev.key)) += 1;

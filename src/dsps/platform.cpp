@@ -8,16 +8,6 @@
 
 namespace rill::dsps {
 
-namespace {
-
-std::uint64_t splitmix64_once(std::uint64_t x) noexcept {
-  // Delegates to the shared mix so fields-grouping routing and the FGM
-  // state partition map can never disagree about a key's owner.
-  return key_hash64(x);
-}
-
-}  // namespace
-
 Platform::Platform(sim::Engine& engine, PlatformConfig config)
     : engine_(engine),
       config_(config),
@@ -44,19 +34,11 @@ void Platform::setup_infrastructure() {
     store_vms_.push_back(cluster_.provision(cluster::VmType::D3, name));
   }
   store_vm_ = store_vms_.front();
-  kvstore::StoreConfig store_cfg;
-  store_cfg.request_timeout = config_.kv_request_timeout;
-  store_cfg.timeout_cost_factor = config_.kv_timeout_cost_factor;
-  store_cfg.max_attempts = config_.kv_max_attempts;
-  store_cfg.backoff_base = config_.kv_backoff_base;
-  store_cfg.backoff_cap = config_.kv_backoff_cap;
-  store_cfg.backoff_jitter = config_.kv_backoff_jitter;
-  store_cfg.pipeline_linger = config_.kv_pipeline_linger;
   // The store tier's jitter streams are seeded independently rather than
   // forked from rng_root_, so fault-free runs draw nothing from them and
   // the pre-existing component streams stay byte-identical.
   store_ = std::make_unique<kvstore::ShardedStore>(
-      engine_, *network_, store_vms_, store_cfg,
+      engine_, *network_, store_vms_, kvstore::StoreConfig{},
       config_.seed ^ 0x5743'4841'4f53'7276ull);
   acker_ = std::make_unique<AckerService>(engine_, config_.ack_timeout);
   coordinator_ = std::make_unique<CheckpointCoordinator>(*this);
@@ -282,9 +264,10 @@ void Platform::unpause_sources() {
 }
 
 EventId Platform::fresh_event_id() noexcept {
-  // A counter through the splitmix64 finaliser: unique (bijective) and
+  // A counter through the splitmix64 step: unique (bijective) and
   // pseudo-random enough for XOR-tree hashing, yet fully deterministic.
-  return splitmix64_once(++id_counter_ ^ (config_.seed << 1));
+  return splitmix64_mix((++id_counter_ ^ (config_.seed << 1)) +
+                        kSplitMix64Gamma);
 }
 
 int Platform::route_replica(EdgeCursor& cursor, const EdgeDef& edge,
@@ -292,8 +275,10 @@ int Platform::route_replica(EdgeCursor& cursor, const EdgeDef& edge,
   if (parallelism == 1) return 0;
   if (edge.grouping == Grouping::Fields) {
     // Key-affine routing: the same key always lands on the same replica,
-    // independent of the sender (Storm's fieldsGrouping).
-    return static_cast<int>(splitmix64_once(ev.key) %
+    // independent of the sender (Storm's fieldsGrouping).  key_hash64 is
+    // also the FGM partition map's hash, so the two never disagree about
+    // a key's owner.
+    return static_cast<int>(key_hash64(ev.key) %
                             static_cast<std::uint64_t>(parallelism));
   }
   const int replica = cursor.shuffle % parallelism;

@@ -22,6 +22,7 @@
 #include <vector>
 
 #include "common/bytes.hpp"
+#include "common/rng.hpp"
 #include "dsps/event.hpp"
 
 namespace rill::dsps {
@@ -163,10 +164,7 @@ struct CheckpointBlob {
 /// The partition map reuses it so "which replica owns key k" and "which
 /// partition holds key k's state" are the same pure function of k.
 [[nodiscard]] constexpr std::uint64_t key_hash64(std::uint64_t x) noexcept {
-  x += 0x9e3779b97f4a7c15ull;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
-  return x ^ (x >> 31);
+  return splitmix64_mix(x + kSplitMix64Gamma);
 }
 
 /// Splits a task's keyed state into `partitions` key-range buckets plus one

@@ -11,13 +11,6 @@ namespace {
 /// checkpoint keys within a few percent of even.
 constexpr int kVnodesPerShard = 64;
 
-std::uint64_t splitmix64_once(std::uint64_t x) noexcept {
-  x += 0x9e3779b97f4a7c15ull;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
-  return x ^ (x >> 31);
-}
-
 /// FNV-1a with a splitmix finalizer — a fixed, platform-independent key
 /// hash (std::hash would tie ring placement to the standard library).  Raw
 /// FNV-1a avalanches poorly into the high bits for short keys, and the ring
@@ -29,8 +22,14 @@ std::uint64_t key_hash(const std::string& key) noexcept {
     h ^= static_cast<unsigned char>(c);
     h *= 1099511628211ull;
   }
-  return splitmix64_once(h);
+  return splitmix64_mix(h + kSplitMix64Gamma);
 }
+
+/// The routing key of a scatter-gather item (PUT pair or bare key).
+const std::string& key_of(const std::pair<std::string, Bytes>& kv) noexcept {
+  return kv.first;
+}
+const std::string& key_of(const std::string& key) noexcept { return key; }
 
 }  // namespace
 
@@ -43,8 +42,9 @@ ShardedStore::ShardedStore(sim::Engine& engine, net::Network& network,
   for (std::size_t i = 0; i < hosts.size(); ++i) {
     // Shard 0 reduces to exactly the unsharded store's seed; other shards
     // fork independent jitter streams from the same base.
-    const std::uint64_t seed = splitmix64_once(
-        rng_seed_base ^ (0x9e3779b97f4a7c15ull * static_cast<std::uint64_t>(i)));
+    const std::uint64_t seed = splitmix64_mix(
+        (rng_seed_base ^ (kSplitMix64Gamma * static_cast<std::uint64_t>(i))) +
+        kSplitMix64Gamma);
     auto store = std::make_unique<Store>(engine, network, hosts[i], config,
                                          Rng(seed));
     store->set_shard(static_cast<int>(i));
@@ -54,10 +54,11 @@ ShardedStore::ShardedStore(sim::Engine& engine, net::Network& network,
     ring_.reserve(shards_.size() * kVnodesPerShard);
     for (std::size_t i = 0; i < shards_.size(); ++i) {
       for (int v = 0; v < kVnodesPerShard; ++v) {
-        const std::uint64_t point = splitmix64_once(
-            (static_cast<std::uint64_t>(i) << 16 |
-             static_cast<std::uint64_t>(v)) ^
-            0x7269'6c6c'7368'6172ull);
+        const std::uint64_t point = splitmix64_mix(
+            ((static_cast<std::uint64_t>(i) << 16 |
+              static_cast<std::uint64_t>(v)) ^
+             0x7269'6c6c'7368'6172ull) +
+            kSplitMix64Gamma);
         ring_.emplace_back(point, static_cast<int>(i));
       }
     }
@@ -83,18 +84,22 @@ void ShardedStore::put(VmId client, std::string key, Bytes value,
       client, std::move(key), std::move(value), std::move(done));
 }
 
-void ShardedStore::put_batch(VmId client,
-                             std::vector<std::pair<std::string, Bytes>> kvs,
-                             PutDone done) {
-  if (shards_.size() == 1) {
-    shards_[0]->put_batch(client, std::move(kvs), std::move(done));
-    return;
+template <typename Item, typename Issue>
+void ShardedStore::scatter_gather(std::vector<Item> items, Issue issue,
+                                  PutDone done) {
+  std::vector<std::vector<Item>> groups(shards_.size());
+  std::vector<std::vector<std::size_t>> slots(shards_.size());
+  for (std::size_t i = 0; i < items.size(); ++i) {
+    const auto s = static_cast<std::size_t>(shard_for(key_of(items[i])));
+    groups[s].push_back(std::move(items[i]));
+    slots[s].push_back(i);
   }
-  std::vector<std::vector<std::pair<std::string, Bytes>>> groups(
-      shards_.size());
-  for (auto& kv : kvs) {
-    groups[static_cast<std::size_t>(shard_for(kv.first))].push_back(
-        std::move(kv));
+  if (items.empty()) {
+    // The empty-request rule: an empty batch is still one request, sent to
+    // shard 0 and paying its round trip, exactly as on the unsharded Store.
+    issue(*shards_.front(), std::move(groups.front()),
+          std::move(slots.front()), std::move(done));
+    return;
   }
   // AND-aggregate the per-shard verdicts; `done` fires once, after the
   // slowest shard answers.
@@ -108,19 +113,28 @@ void ShardedStore::put_batch(VmId client,
   for (const auto& g : groups) {
     if (!g.empty()) ++gather->remaining;
   }
-  if (gather->remaining == 0) {
-    // Empty batch: keep the request observable on shard 0 (mirrors the
-    // unsharded store, which still pays one round-trip).
-    shards_[0]->put_batch(client, {}, std::move(gather->done));
-    return;
+  for (std::size_t s = 0; s < groups.size(); ++s) {
+    if (groups[s].empty()) continue;
+    issue(*shards_[s], std::move(groups[s]), std::move(slots[s]),
+          [gather](bool ok) {
+            gather->ok = gather->ok && ok;
+            if (--gather->remaining == 0 && gather->done) {
+              gather->done(gather->ok);
+            }
+          });
   }
-  for (std::size_t i = 0; i < groups.size(); ++i) {
-    if (groups[i].empty()) continue;
-    shards_[i]->put_batch(client, std::move(groups[i]), [gather](bool ok) {
-      gather->ok = gather->ok && ok;
-      if (--gather->remaining == 0 && gather->done) gather->done(gather->ok);
-    });
-  }
+}
+
+void ShardedStore::put_batch(VmId client,
+                             std::vector<std::pair<std::string, Bytes>> kvs,
+                             PutDone done) {
+  scatter_gather(
+      std::move(kvs),
+      [client](Store& shard, std::vector<std::pair<std::string, Bytes>> group,
+               std::vector<std::size_t> /*slots*/, PutDone verdict) {
+        shard.put_batch(client, std::move(group), std::move(verdict));
+      },
+      std::move(done));
 }
 
 void ShardedStore::get(VmId client, std::string key, GetDone done) {
@@ -130,92 +144,37 @@ void ShardedStore::get(VmId client, std::string key, GetDone done) {
 
 void ShardedStore::get_batch(VmId client, std::vector<std::string> keys,
                              MGetDone done) {
-  if (shards_.size() == 1) {
-    shards_[0]->get_batch(client, std::move(keys), std::move(done));
-    return;
-  }
-  struct Gather {
-    int remaining{0};
-    bool ok{true};
-    std::vector<std::optional<Bytes>> values;
-    MGetDone done;
-  };
-  auto gather = std::make_shared<Gather>();
-  gather->values.resize(keys.size());
-  gather->done = std::move(done);
-
-  // One MGET per shard, issued in parallel; each reply scatters back into
-  // the request-order result slots.
-  std::vector<std::vector<std::string>> shard_keys(shards_.size());
-  std::vector<std::vector<std::size_t>> shard_slots(shards_.size());
-  for (std::size_t i = 0; i < keys.size(); ++i) {
-    const auto s = static_cast<std::size_t>(shard_for(keys[i]));
-    shard_keys[s].push_back(std::move(keys[i]));
-    shard_slots[s].push_back(i);
-  }
-  for (const auto& sk : shard_keys) {
-    if (!sk.empty()) ++gather->remaining;
-  }
-  if (gather->remaining == 0) {
-    if (gather->done) gather->done(true, {});
-    return;
-  }
-  for (std::size_t s = 0; s < shard_keys.size(); ++s) {
-    if (shard_keys[s].empty()) continue;
-    auto slots = std::move(shard_slots[s]);
-    shards_[s]->get_batch(
-        client, std::move(shard_keys[s]),
-        [gather, slots = std::move(slots)](
-            bool ok, std::vector<std::optional<Bytes>> values) {
-          gather->ok = gather->ok && ok;
-          if (ok) {
-            for (std::size_t j = 0; j < slots.size(); ++j) {
-              gather->values[slots[j]] = std::move(values[j]);
-            }
-          }
-          if (--gather->remaining == 0 && gather->done) {
-            gather->done(gather->ok, std::move(gather->values));
-          }
-        });
-  }
-}
-
-void ShardedStore::del(VmId client, std::string key, PutDone done) {
-  shards_[static_cast<std::size_t>(shard_for(key))]->del(
-      client, std::move(key), std::move(done));
+  // Each shard's MGET reply scatters back into the request-order slots.
+  auto values =
+      std::make_shared<std::vector<std::optional<Bytes>>>(keys.size());
+  scatter_gather(
+      std::move(keys),
+      [client, values](Store& shard, std::vector<std::string> group,
+                       std::vector<std::size_t> slots, PutDone verdict) {
+        shard.get_batch(
+            client, std::move(group),
+            [values, slots = std::move(slots), verdict = std::move(verdict)](
+                bool ok, std::vector<std::optional<Bytes>> got) {
+              for (std::size_t j = 0; j < slots.size(); ++j) {
+                (*values)[slots[j]] = std::move(got[j]);
+              }
+              verdict(ok);
+            });
+      },
+      [values, done = std::move(done)](bool ok) {
+        if (done) done(ok, std::move(*values));
+      });
 }
 
 void ShardedStore::del_batch(VmId client, std::vector<std::string> keys,
                              PutDone done) {
-  if (shards_.size() == 1) {
-    shards_[0]->del_batch(client, std::move(keys), std::move(done));
-    return;
-  }
-  std::vector<std::vector<std::string>> groups(shards_.size());
-  for (auto& k : keys) {
-    groups[static_cast<std::size_t>(shard_for(k))].push_back(std::move(k));
-  }
-  struct Gather {
-    int remaining{0};
-    bool ok{true};
-    PutDone done;
-  };
-  auto gather = std::make_shared<Gather>();
-  gather->done = std::move(done);
-  for (const auto& g : groups) {
-    if (!g.empty()) ++gather->remaining;
-  }
-  if (gather->remaining == 0) {
-    shards_[0]->del_batch(client, {}, std::move(gather->done));
-    return;
-  }
-  for (std::size_t i = 0; i < groups.size(); ++i) {
-    if (groups[i].empty()) continue;
-    shards_[i]->del_batch(client, std::move(groups[i]), [gather](bool ok) {
-      gather->ok = gather->ok && ok;
-      if (--gather->remaining == 0 && gather->done) gather->done(gather->ok);
-    });
-  }
+  scatter_gather(
+      std::move(keys),
+      [client](Store& shard, std::vector<std::string> group,
+               std::vector<std::size_t> /*slots*/, PutDone verdict) {
+        shard.del_batch(client, std::move(group), std::move(verdict));
+      },
+      std::move(done));
 }
 
 void ShardedStore::put_pipelined(VmId client, std::string key, Bytes value,

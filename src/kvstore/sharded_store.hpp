@@ -5,22 +5,23 @@
 // server, and INIT one GET per restoring task.  ShardedStore spreads the
 // same Store API over N store VMs behind a consistent-hash ring (finalised
 // FNV-1a key hash onto 64 virtual points per shard), so checkpoint traffic
-// scales with
-// the shard count while every key keeps a deterministic home.
+// scales with the shard count while every key keeps a deterministic home.
 //
-// Two pipelining services ride on top of the ring:
-//  * put_pipelined() — single-key PUTs linger briefly (pipeline_linger) and
-//    flush as one put_batch per (client VM, shard), coalescing a COMMIT
-//    wave's per-task snapshots into a handful of pipelined writes;
-//  * get_batch() — a multi-key read splits into one MGET per shard, issued
-//    in parallel, and reassembles results in request order (the INIT
-//    prefetch path).
+// The three multi-key operations — put_batch, get_batch (the INIT prefetch
+// MGET) and del_batch (delta-checkpoint GC) — share one scatter-gather:
+// keys group by owning shard, each group goes out as one pipelined request,
+// all in parallel, and the caller's `done` fires once with the AND of the
+// shard verdicts (get_batch also reassembles values in request order).  An
+// empty request is still one request: it goes to shard 0 and pays its
+// round trip, at every shard count, as on the unsharded Store.
 //
-// With one shard the facade is a transparent pass-through: no ring hashing
-// feeds any decision, put_pipelined degenerates to plain put (no linger
-// timer is ever scheduled), and the single Store is constructed with the
-// exact RNG seed the unsharded platform used — runs with --kv-shards 1 stay
-// byte-identical to the pre-sharding baseline.
+// put_pipelined() lets single-key COMMIT PUTs linger briefly
+// (StoreConfig::pipeline_linger) and flushes them as one put_batch per
+// (client VM, shard).  It is the one operation that branches on the shard
+// count: with one shard it is a plain put() and schedules no linger timer.
+// That branch, the ring lookup (shard 0 without hashing when there is one
+// shard) and shard 0's seed (the unsharded store's) keep --kv-shards 1
+// runs byte-identical to the pre-sharding baseline.
 #pragma once
 
 #include <cstdint>
@@ -56,10 +57,9 @@ class RILL_PINNED ShardedStore {
                  PutDone done);
   void get(VmId client, std::string key, GetDone done);
   void get_batch(VmId client, std::vector<std::string> keys, MGetDone done);
-  void del(VmId client, std::string key, PutDone done);
-  /// Pipelined multi-DELETE: one MDEL per owning shard, verdicts
-  /// AND-aggregated like put_batch.  Delta-checkpoint compaction uses this
-  /// to drop superseded blobs in one round-trip per shard.
+  /// Pipelined multi-DELETE: one MDEL per owning shard.  Delta-checkpoint
+  /// compaction uses this to drop superseded blobs in one round-trip per
+  /// shard.
   void del_batch(VmId client, std::vector<std::string> keys, PutDone done);
 
   /// Coalescing PUT for checkpoint COMMIT traffic: lingers for
@@ -101,6 +101,15 @@ class RILL_PINNED ShardedStore {
     std::vector<PutDone> dones;
     bool armed{false};
   };
+
+  /// The one scatter-gather behind put_batch, get_batch and del_batch.
+  /// Groups `items` by owning shard (request order kept within a group),
+  /// calls `issue(shard, group, slots, verdict)` once per owning shard —
+  /// `slots` are the group's indices in `items` and `verdict(ok)` must run
+  /// exactly once — and calls `done` with the AND of the verdicts after
+  /// the last shard answers.  An empty `items` is issued to shard 0.
+  template <typename Item, typename Issue>
+  void scatter_gather(std::vector<Item> items, Issue issue, PutDone done);
 
   void flush(std::uint32_t client_vm, int shard);
 

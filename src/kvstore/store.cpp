@@ -95,11 +95,6 @@ void Store::apply(const Request& req, Reply& reply, std::size_t& reply_bytes) {
       }
       break;
     }
-    case Op::Del: {
-      ++stats_.deletes;
-      data_.erase(req.key);
-      break;
-    }
     case Op::MDel: {
       ++stats_.deletes;
       stats_.batch_items += req.keys.size();
@@ -124,7 +119,6 @@ void Store::attempt(VmId client, std::shared_ptr<const Request> req,
       items = req->keys.size();
       break;
     case Op::Get:
-    case Op::Del:
       request_bytes = req->key.size();
       items = 1;
       break;
@@ -246,18 +240,6 @@ void Store::get_batch(VmId client, std::vector<std::string> keys,
             end_op_span(span, ok);
             if (!ok) reply.values.assign(n, std::nullopt);
             if (done) done(ok, std::move(reply.values));
-          });
-}
-
-void Store::del(VmId client, std::string key, PutDone done) {
-  auto req = std::make_shared<Request>();
-  req->op = Op::Del;
-  req->key = std::move(key);
-  const std::uint64_t span = begin_op_span("del", 1);
-  attempt(client, std::move(req), 1,
-          [this, span, done = std::move(done)](bool ok, Reply) {
-            end_op_span(span, ok);
-            if (done) done(ok);
           });
 }
 

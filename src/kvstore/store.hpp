@@ -149,9 +149,6 @@ class RILL_PINNED Store {
   /// cost; absent keys come back as nullopt in their slot.
   void get_batch(VmId client, std::vector<std::string> keys, MGetDone done);
 
-  /// Asynchronous DELETE.
-  void del(VmId client, std::string key, PutDone done);
-
   /// Pipelined multi-DELETE: one round-trip, per-item service cost.  Used
   /// by delta-checkpoint compaction to drop superseded blobs in bulk.
   void del_batch(VmId client, std::vector<std::string> keys, PutDone done);
@@ -176,14 +173,12 @@ class RILL_PINNED Store {
   [[nodiscard]] const StoreConfig& config() const noexcept { return config_; }
 
  private:
-  /// Server-side work for one request; returns the reply payload size, or
-  /// nullopt when the request is swallowed by an outage.  GETs also return
-  /// the value through `value_out`.
-  enum class Op : std::uint8_t { Put, Get, MGet, Del, MDel };
+  /// One client request: the operation and its payload.
+  enum class Op : std::uint8_t { Put, Get, MGet, MDel };
   struct Request {
     Op op{Op::Put};
     std::vector<std::pair<std::string, Bytes>> kvs;  ///< Put payload
-    std::string key;                                 ///< Get / Del key
+    std::string key;                                 ///< Get key
     std::vector<std::string> keys;                   ///< MGet / MDel keys
   };
   /// What comes back from one applied request.
@@ -201,6 +196,8 @@ class RILL_PINNED Store {
   /// with the terminal verdict.
   [[nodiscard]] std::uint64_t begin_op_span(const char* op, std::size_t items);
   void end_op_span(std::uint64_t span, bool ok);
+  /// Server-side work for one request that reached the store: applies it
+  /// to the map and fills `reply` and its payload size.
   void apply(const Request& req, Reply& reply, std::size_t& reply_bytes);
 
   SimDuration service_cost(std::size_t items, std::size_t bytes) const;

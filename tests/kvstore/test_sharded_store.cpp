@@ -201,5 +201,138 @@ TEST_F(ShardedFixture, EmptyPutBatchStillCompletes) {
   EXPECT_TRUE(ok);
 }
 
+TEST_F(ShardedFixture, DelBatchSplitsByOwnerAndFailsOnlyTheDownShardsKeys) {
+  std::vector<std::string> keys;
+  for (int i = 0; i < 32; ++i) keys.push_back("d" + std::to_string(i));
+  for (const std::string& k : keys) {
+    store->put(client_vm, k, bytes_of("v"), [](bool) {});
+  }
+  engine.run();
+
+  const std::vector<std::string> first(keys.begin(), keys.begin() + 16);
+  const std::vector<std::string> second(keys.begin() + 16, keys.end());
+  std::set<int> first_owners, second_owners;
+  for (const std::string& k : first) first_owners.insert(store->shard_for(k));
+  for (const std::string& k : second) {
+    second_owners.insert(store->shard_for(k));
+  }
+  ASSERT_GT(first_owners.size(), 1u);
+  ASSERT_GT(second_owners.size(), 1u);
+
+  // Healthy tier: one MDEL per owning shard, every key gone.
+  std::optional<bool> ok;
+  store->del_batch(client_vm, first, [&](bool s) { ok = s; });
+  engine.run();
+  ASSERT_TRUE(ok.has_value());
+  EXPECT_TRUE(*ok);
+  for (const std::string& k : first) EXPECT_FALSE(store->peek(k).has_value());
+  std::uint64_t requests = 0;
+  for (int s = 0; s < store->shards(); ++s) {
+    requests += store->shard_stats(s).deletes;
+    EXPECT_EQ(store->shard_stats(s).deletes,
+              first_owners.contains(s) ? 1u : 0u);
+  }
+  EXPECT_EQ(requests, first_owners.size());
+  EXPECT_EQ(store->stats().batch_items, 32u + 16u);
+
+  // One shard down: the batch verdict fails, only that shard's keys
+  // survive, and no other shard records a failure.
+  struct OneShardDown final : Store::FaultHook {
+    int down_shard{0};
+    bool unavailable(int shard) override { return shard == down_shard; }
+    SimDuration extra_latency(int /*shard*/) override { return 0; }
+  } hook;
+  hook.down_shard = store->shard_for(second.front());
+  store->set_fault_hook(&hook);
+  ok.reset();
+  store->del_batch(client_vm, second, [&](bool s) { ok = s; });
+  engine.run();
+  ASSERT_TRUE(ok.has_value());
+  EXPECT_FALSE(*ok);
+  for (const std::string& k : second) {
+    EXPECT_EQ(store->peek(k).has_value(),
+              store->shard_for(k) == hook.down_shard)
+        << k;
+  }
+  for (int s = 0; s < store->shards(); ++s) {
+    EXPECT_EQ(store->shard_stats(s).failed_requests > 0,
+              s == hook.down_shard);
+  }
+}
+
+/// The one empty-request rule, at 1 shard and at 4: an empty put_batch,
+/// get_batch or del_batch is one request to shard 0, completing ok after a
+/// round trip (not synchronously), and no other shard sees it.
+class EmptyRequestRule : public ShardedFixture,
+                         public ::testing::WithParamInterface<int> {
+ protected:
+  void SetUp() override { build(GetParam()); }
+
+  void expect_one_shard0_round_trip(SimTime done_at) {
+    EXPECT_GT(done_at, SimTime{0});
+    for (int s = 0; s < store->shards(); ++s) {
+      const StoreStats& ss = store->shard_stats(s);
+      EXPECT_EQ(ss.puts + ss.gets + ss.deletes, s == 0 ? 1u : 0u)
+          << "shard " << s;
+      EXPECT_EQ(ss.batch_items, 0u);
+    }
+  }
+};
+
+TEST_P(EmptyRequestRule, PutBatch) {
+  std::optional<bool> ok;
+  SimTime done_at = 0;
+  store->put_batch(client_vm, {}, [&](bool s) {
+    ok = s;
+    done_at = engine.now();
+  });
+  EXPECT_FALSE(ok.has_value());
+  engine.run();
+  ASSERT_TRUE(ok.has_value());
+  EXPECT_TRUE(*ok);
+  EXPECT_EQ(store->shard_stats(0).puts, 1u);
+  expect_one_shard0_round_trip(done_at);
+}
+
+TEST_P(EmptyRequestRule, GetBatch) {
+  std::optional<bool> ok;
+  SimTime done_at = 0;
+  std::vector<std::optional<Bytes>> got{std::nullopt};
+  store->get_batch(client_vm, {},
+                   [&](bool s, std::vector<std::optional<Bytes>> values) {
+                     ok = s;
+                     got = std::move(values);
+                     done_at = engine.now();
+                   });
+  EXPECT_FALSE(ok.has_value());
+  engine.run();
+  ASSERT_TRUE(ok.has_value());
+  EXPECT_TRUE(*ok);
+  EXPECT_TRUE(got.empty());
+  EXPECT_EQ(store->shard_stats(0).gets, 1u);
+  expect_one_shard0_round_trip(done_at);
+}
+
+TEST_P(EmptyRequestRule, DelBatch) {
+  std::optional<bool> ok;
+  SimTime done_at = 0;
+  store->del_batch(client_vm, {}, [&](bool s) {
+    ok = s;
+    done_at = engine.now();
+  });
+  EXPECT_FALSE(ok.has_value());
+  engine.run();
+  ASSERT_TRUE(ok.has_value());
+  EXPECT_TRUE(*ok);
+  EXPECT_EQ(store->shard_stats(0).deletes, 1u);
+  expect_one_shard0_round_trip(done_at);
+}
+
+INSTANTIATE_TEST_SUITE_P(Shards, EmptyRequestRule, ::testing::Values(1, 4),
+                         [](const ::testing::TestParamInfo<int>& info) {
+                           return std::to_string(info.param) + "Shard" +
+                                  (info.param == 1 ? "" : "s");
+                         });
+
 }  // namespace
 }  // namespace rill::kvstore

@@ -1,9 +1,6 @@
 #!/usr/bin/env bash
 # Tier-1 CI gate: RelWithDebInfo build + full test suite, then the ASan
-# preset (build + the fast chaos/FGM teardown and callback subset). The
-# TSan preset (`--tsan`) is opt-in and build-only — the simulator is
-# single-threaded (sweeps parallelise one run per process), so there are
-# no races to run down.
+# preset (build + the fast chaos/FGM teardown and callback subset).
 #
 # A lint gate runs right after the default-preset tests:
 #   * rill_lint (tools/lint) enforces the determinism rules R1–R4, the
@@ -42,10 +39,10 @@
 # write into separate files, so the determinism manifests above never see
 # an attribution record.
 #
-# A bench gate follows the attribution gate: the checkpoint-store and
-# restore benches run their shard sweeps (shards 1 and 4) in --check mode,
-# which fails on a >20% regression of the single-shard baseline or a lost
-# sharding win, bench_ckpt_policy --check asserts the adaptive policy
+# A bench gate follows the attribution gate: bench_redis_checkpoint --check
+# is the checkpoint-store tier's one gate — its COMMIT and restore shard
+# sweeps (shards 1 and 4) fail on a >20% regression of the single-shard
+# baseline or a lost sharding win — bench_ckpt_policy --check asserts the adaptive policy
 # meets its RTO at p95 without writing more checkpoint bytes than the
 # static RTO-tuned baseline, bench_autoscale --check asserts the
 # closed-loop controller holds the SLO through a 10-100x load swing while
@@ -59,28 +56,26 @@
 # its rill_bench_selftest is built and run, so a src/ API change that
 # breaks the benchmark fails here. `--skip-bench` opts out.
 #
-# Usage: tools/ci.sh [--tsan] [--skip-asan] [--skip-bench] [--skip-lint]
+# Usage: tools/ci.sh [--skip-asan] [--skip-bench] [--skip-lint]
 #                    [--regen-determinism]
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
 
-run_tsan=0
 run_asan=1
 run_bench=1
 run_lint=1
 regen_determinism=0
 for arg in "$@"; do
   case "$arg" in
-    --tsan) run_tsan=1 ;;
     --skip-asan) run_asan=0 ;;
     --skip-bench) run_bench=0 ;;
     --skip-lint) run_lint=0 ;;
     --regen-determinism) regen_determinism=1 ;;
     *)
       echo "ci.sh: unknown option: $arg" >&2
-      echo "usage: tools/ci.sh [--tsan] [--skip-asan] [--skip-bench]" \
-           "[--skip-lint] [--regen-determinism]" >&2
+      echo "usage: tools/ci.sh [--skip-asan] [--skip-bench] [--skip-lint]" \
+           "[--regen-determinism]" >&2
       exit 2
       ;;
   esac
@@ -212,11 +207,9 @@ if [ "$run_bench" = 1 ]; then
   cmake --build build/perfbench -j "$jobs" --target rill_bench_selftest
   ./build/perfbench/rill_bench_selftest
 
-  echo "==> bench gate: checkpoint + restore shard sweeps (shards 1 and 4)"
+  echo "==> bench gate: checkpoint-store COMMIT + restore shard sweeps (shards 1 and 4)"
   ( cd build/bench &&
     ./bench_redis_checkpoint --check &&
-    ./bench_fig5_scale_out --check &&
-    ./bench_fig5_scale_in --check &&
     ./bench_ckpt_policy --check &&
     ./bench_autoscale --check &&
     ./bench_micro --check &&
@@ -230,21 +223,14 @@ if [ "$run_asan" = 1 ]; then
   # reasons about statically get checked dynamically here without paying
   # for the full suite under instrumentation — plus sim::Callback and its
   # users (Engine, Network), which construct captures with placement-new
-  # and destroy them by hand.
+  # and destroy them by hand, plus the store tier (Store, ShardedStore),
+  # whose scatter-gather keeps per-request state alive in callbacks until
+  # the last shard answers.
   echo "==> asan: configure + build + fast chaos/FGM/callback subset"
   cmake --preset asan
   cmake --build --preset asan -j "$jobs"
   ctest --preset asan -j "$jobs" \
-    -R 'Chaos|CaptureWindow|Fgm|StatePartition|ExtractPartition|Checkpoint|Callback|Engine|Network'
-fi
-
-if [ "$run_tsan" = 1 ]; then
-  # Build-only: the simulator is single-threaded, so running tests under
-  # TSan buys nothing, but the build keeps the instrumentation-clean
-  # property from rotting.
-  echo "==> tsan: configure + build (build-only; no threads to race)"
-  cmake --preset tsan
-  cmake --build --preset tsan -j "$jobs"
+    -R 'Chaos|CaptureWindow|Fgm|StatePartition|ExtractPartition|Checkpoint|Callback|Engine|Network|Store|Sharded|EmptyRequestRule'
 fi
 
 echo "==> ci.sh: all requested suites passed"
